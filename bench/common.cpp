@@ -11,6 +11,7 @@
 #include "obs/progress.hpp"
 #include "pp/convergence.hpp"
 #include "pp/trial.hpp"
+#include "protocols/catalog.hpp"
 #include "protocols/silent_n_state.hpp"
 #include "util/edit_distance.hpp"
 #include "util/request_spec.hpp"
@@ -262,34 +263,40 @@ std::string reporter::finish() {
   return path;
 }
 
+std::vector<double> trial_times(const util::sim_request_spec& spec,
+                                std::optional<double> confirm,
+                                bool parallel) {
+  trial_context context;
+  context.confirm = confirm;
+  return run_trials(
+      static_cast<std::size_t>(spec.trials), spec.seed,
+      [&](std::uint64_t s, engine_kind) {
+        return run_trial(spec, s, context);
+      },
+      {.parallel = parallel, .engine = spec.engine});
+}
+
+namespace {
+
+util::sim_request_spec bench_spec(std::string_view protocol, std::uint32_t n,
+                                  std::size_t trials, std::uint64_t seed,
+                                  double max_time, engine_spec engine) {
+  util::sim_request_spec spec;
+  spec.protocol = protocol;
+  spec.n = n;
+  spec.trials = trials;
+  spec.seed = seed;
+  spec.max_time = max_time;
+  spec.engine = engine;
+  return spec;
+}
+
+}  // namespace
+
 std::vector<double> baseline_times(std::uint32_t n, std::size_t trials,
                                    std::uint64_t seed, engine_spec engine) {
   obs::timeline_scope phase(obs::profiler_default(), "phase.baseline");
-  // The lambdas receive the engine *kind* through run_trials (its signature
-  // predates engine_spec); the full spec -- shard count included -- rides in
-  // via capture, and kind stays useful for the direct fast path.
-  return run_trials(
-      trials, seed,
-      [n, engine](std::uint64_t s, engine_kind kind) -> double {
-        if (kind == engine_kind::direct) {
-          // Seed behavior: the Protocol 1-specialized exact jump simulator.
-          rng_t rng(s);
-          std::vector<std::uint32_t> ranks(n);
-          for (auto& r : ranks)
-            r = static_cast<std::uint32_t>(uniform_below(rng, n));
-          accelerated_silent_n_state sim(n, ranks, s ^ 0x5bd1e995);
-          return sim.run_to_stabilization();
-        }
-        silent_n_state_ssr p(n);
-        rng_t rng(s);
-        auto init = adversarial_configuration(p, rng);
-        const auto r = measure_convergence_with(engine, p, std::move(init),
-                                                s ^ 0x5bd1e995);
-        if (!r.converged)
-          throw std::runtime_error("baseline did not converge");
-        return r.convergence_time;
-      },
-      {.parallel = true, .engine = engine});
+  return trial_times(bench_spec("baseline", n, trials, seed, 1e9, engine));
 }
 
 std::vector<double> baseline_lower_bound_times(std::uint32_t n,
@@ -298,17 +305,13 @@ std::vector<double> baseline_lower_bound_times(std::uint32_t n,
                                                engine_spec engine) {
   obs::timeline_scope phase(obs::profiler_default(),
                             "phase.baseline_lower_bound");
-  silent_n_state_ssr p(n);
-  const auto config = p.lower_bound_configuration();
-  std::vector<std::uint32_t> ranks(n);
-  for (std::uint32_t i = 0; i < n; ++i) ranks[i] = config[i].rank;
+  const auto config = silent_n_state_ssr(n).lower_bound_configuration();
   return run_trials(
       trials, seed,
-      [n, ranks, config, engine](std::uint64_t s, engine_kind kind) -> double {
-        if (kind == engine_kind::direct) {
-          accelerated_silent_n_state sim(n, ranks, s);
-          return sim.run_to_stabilization();
-        }
+      [n, config, engine](std::uint64_t s, engine_kind) -> double {
+        if (const auto time =
+                catalog::baseline::jump_time(engine, config, s, {}))
+          return *time;
         const auto r = measure_convergence_with(engine, silent_n_state_ssr(n),
                                                 config, s);
         if (!r.converged)
@@ -323,21 +326,10 @@ std::vector<double> optimal_silent_times(std::uint32_t n, std::size_t trials,
                                          optimal_silent_scenario scenario,
                                          engine_spec engine) {
   obs::timeline_scope phase(obs::profiler_default(), "phase.optimal_silent");
-  return run_trials(
-      trials, seed,
-      [=](std::uint64_t s, engine_kind) {
-        optimal_silent_ssr p(n);
-        rng_t rng(s);
-        auto init = adversarial_configuration(p, scenario, rng);
-        convergence_options opt;
-        opt.max_parallel_time = 1e9;
-        const auto r = measure_convergence_with(engine, p, std::move(init),
-                                                s ^ 0x9747b28c, opt);
-        if (!r.converged)
-          throw std::runtime_error("optimal-silent did not converge");
-        return r.convergence_time;
-      },
-      {.parallel = true, .engine = engine});
+  util::sim_request_spec spec =
+      bench_spec("optimal", n, trials, seed, 1e9, engine);
+  spec.scenario = to_string(scenario);
+  return trial_times(spec);
 }
 
 std::vector<double> sublinear_times(std::uint32_t n, std::uint32_t h,
@@ -346,22 +338,11 @@ std::vector<double> sublinear_times(std::uint32_t n, std::uint32_t h,
                                     double confirm, bool parallel,
                                     engine_spec engine) {
   obs::timeline_scope phase(obs::profiler_default(), "phase.sublinear");
-  return run_trials(
-      trials, seed,
-      [=](std::uint64_t s, engine_kind) {
-        sublinear_time_ssr p(n, h);
-        rng_t rng(s);
-        auto init = adversarial_configuration(p, scenario, rng);
-        convergence_options opt;
-        opt.max_parallel_time = 1e8;
-        opt.confirm_parallel_time = confirm;
-        const auto r = measure_convergence_with(engine, p, std::move(init),
-                                                s ^ 0x85ebca6b, opt);
-        if (!r.converged)
-          throw std::runtime_error("sublinear did not converge");
-        return r.convergence_time;
-      },
-      {.parallel = parallel, .engine = engine});
+  util::sim_request_spec spec =
+      bench_spec("sublinear", n, trials, seed, 1e8, engine);
+  spec.h = h;
+  spec.scenario = to_string(scenario);
+  return trial_times(spec, confirm, parallel);
 }
 
 std::vector<double> detection_latencies(std::uint32_t n, std::uint32_t h,
@@ -371,7 +352,7 @@ std::vector<double> detection_latencies(std::uint32_t n, std::uint32_t h,
   obs::timeline_scope phase(obs::profiler_default(), "phase.detection");
   return run_trials(
       trials, seed,
-      [=](std::uint64_t s, engine_kind kind) {
+      [=](std::uint64_t s, engine_kind) {
         sublinear_time_ssr p(n, h);
         rng_t rng(s);
         auto init = adversarial_configuration(
@@ -380,38 +361,24 @@ std::vector<double> detection_latencies(std::uint32_t n, std::uint32_t h,
         // part in, so probing the two participants after each state change
         // finds the same interaction index the historical full-configuration
         // scan did.
-        const auto detect = [](auto& eng) {
-          const bool detected = eng.run(
-              2'000'000'000ull, [](const agent_pair&) {},
-              [&eng](const agent_pair& pair, bool changed) {
-                if (!changed) return false;
-                const auto agents = eng.agents();
-                return agents[pair.initiator].role ==
-                           sublinear_time_ssr::role_t::resetting ||
-                       agents[pair.responder].role ==
-                           sublinear_time_ssr::role_t::resetting;
-              });
-          if (!detected)
-            throw std::runtime_error("collision never detected");
-          return eng.parallel_time();
-        };
-        if (kind == engine_kind::direct) {
-          direct_engine<sublinear_time_ssr> eng(p, std::move(init),
-                                                s ^ 0xc2b2ae35);
-          eng.attach_profiler(obs::profiler_default());
-          return detect(eng);
-        }
-        if (kind == engine_kind::sharded) {
-          sharded_engine<sublinear_time_ssr> eng(p, std::move(init),
-                                                 s ^ 0xc2b2ae35,
-                                                 {.shards = engine.shards});
-          eng.attach_profiler(obs::profiler_default());
-          return detect(eng);
-        }
-        batched_engine<sublinear_time_ssr> eng(p, std::move(init),
-                                               s ^ 0xc2b2ae35);
-        eng.attach_profiler(obs::profiler_default());
-        return detect(eng);
+        return with_engine(
+            engine, std::move(p), std::move(init), s ^ 0xc2b2ae35,
+            [](auto& eng) {
+              eng.attach_profiler(obs::profiler_default());
+              const bool detected = eng.run(
+                  2'000'000'000ull, [](const agent_pair&) {},
+                  [&eng](const agent_pair& pair, bool changed) {
+                    if (!changed) return false;
+                    const auto agents = eng.agents();
+                    return agents[pair.initiator].role ==
+                               sublinear_time_ssr::role_t::resetting ||
+                           agents[pair.responder].role ==
+                               sublinear_time_ssr::role_t::resetting;
+                  });
+              if (!detected)
+                throw std::runtime_error("collision never detected");
+              return eng.parallel_time();
+            });
       },
       {.parallel = parallel, .engine = engine});
 }

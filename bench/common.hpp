@@ -4,13 +4,15 @@
 // prints paper-style rows; the helpers here own the repetitive parts:
 // per-protocol trial functions, summary formatting, a banner that ties
 // each binary back to the table/figure it reproduces, and the --engine
-// flag every bench accepts.
+// flag every bench accepts.  The trial helpers run the protocol catalog's
+// run_trial (protocols/catalog.hpp), so a bench sample and a served sample
+// of the same spec and seed are the same number.
 //
 // Engine selection (pp/engine.hpp): each trial helper takes an engine_spec.
 // `direct` keeps the seed behavior: per-interaction stepping, except for
 // the Protocol 1 baseline whose "direct" path has always been the
-// protocol-specialized exact jump simulator (accelerated_silent_n_state) --
-// truly direct stepping of a Theta(n^2)-time protocol is Theta(n^3)
+// protocol-specialized exact jump simulator (the catalog's baseline entry)
+// -- truly direct stepping of a Theta(n^2)-time protocol is Theta(n^3)
 // interactions and infeasible at bench sizes.  `batched` routes through the
 // unified batched engine, which is distribution-equivalent
 // (tests/engine_equivalence_test.cpp) and the only way to the n >= 10^6
@@ -34,6 +36,7 @@
 #include "obs/timeline.hpp"
 #include "pp/engine.hpp"
 #include "protocols/adversary.hpp"
+#include "util/request_spec.hpp"
 
 namespace ssr::bench {
 
@@ -145,6 +148,14 @@ class reporter {
   std::optional<obs::timeline_profiler> profiler_;
   std::uint32_t root_section_ = 0;
 };
+
+/// Stabilization times of spec.trials catalog trials of `spec`, seeded
+/// derive_seed(spec.seed, i) as in every sweep.  `confirm` overrides the
+/// protocol's default confirmation window; `parallel` runs trials on
+/// several threads.
+std::vector<double> trial_times(const util::sim_request_spec& spec,
+                                std::optional<double> confirm = std::nullopt,
+                                bool parallel = true);
 
 /// Stabilization times (parallel) of the baseline from uniform random
 /// configurations.

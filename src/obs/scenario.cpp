@@ -1,6 +1,7 @@
 #include "obs/scenario.hpp"
 
 #include <cmath>
+#include <variant>
 
 namespace ssr::obs {
 namespace {
@@ -199,26 +200,19 @@ std::optional<scenario_doc> parse_scenario_text(
   return parse_scenario(*doc, errors);
 }
 
+void append_spec_fields(json_value& out, const util::sim_request_spec& spec) {
+  for (const util::spec_field& field : spec.fields()) {
+    std::visit([&](const auto& v) { out[field.name] = v; }, field.value);
+  }
+}
+
 json_value scenario_to_json(const scenario_doc& doc) {
   json_value out = json_value::object();
   out["schema"] = scenario_schema_name;
   out["schema_version"] = scenario_schema_version;
   out["name"] = doc.name;
   if (!doc.description.empty()) out["description"] = doc.description;
-  const util::sim_request_spec& spec = doc.spec;
-  out["protocol"] = spec.protocol;
-  out["scenario"] = spec.scenario;
-  out["n"] = static_cast<std::uint64_t>(spec.n);
-  if (spec.protocol == "sublinear")
-    out["h"] = static_cast<std::uint64_t>(spec.h);
-  if (spec.protocol == "loose")
-    out["t_max"] = static_cast<std::uint64_t>(spec.t_max);
-  out["trials"] = spec.trials;
-  out["seed"] = spec.seed;
-  out["max_time"] = spec.max_time;
-  out["engine"] = std::string(to_string(spec.engine.kind));
-  if (spec.engine.kind == engine_kind::sharded)
-    out["shards"] = static_cast<std::uint64_t>(spec.engine.shards);
+  append_spec_fields(out, doc.spec);
   if (doc.telemetry.trace) {
     json_value trace = json_value::object();
     trace["enabled"] = true;

@@ -77,6 +77,10 @@ std::optional<scenario_doc> parse_scenario_text(std::string_view text,
                                                 std::vector<util::spec_error>*
                                                     errors);
 
+/// Adds the spec's fields to the object `out`, in sim_request_spec::fields()
+/// order; the serve result's "spec" echo uses the same list.
+void append_spec_fields(json_value& out, const util::sim_request_spec& spec);
+
 /// The canonical serialization (see header comment).
 json_value scenario_to_json(const scenario_doc& doc);
 

@@ -56,6 +56,9 @@ class batch_scheduler {
       rng_t& rng,
       std::uint64_t limit = std::numeric_limits<std::uint64_t>::max());
 
+  /// The batch the last next_batch call returned (empty before the first).
+  std::span<const agent_pair> last_batch() const { return buffer_; }
+
   /// Attaches (or with nullptr detaches) a section profiler; each
   /// next_batch call records a "batch.draw" section.  The batched engine
   /// forwards its profiler here so draws nest under "engine.run".

@@ -15,6 +15,7 @@
 // first entry is already stable and a zero confirmation window is exact.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -28,7 +29,6 @@
 #include "pp/protocol.hpp"
 #include "pp/random.hpp"
 #include "pp/scheduler.hpp"
-#include "pp/sharded_scheduler.hpp"
 
 namespace ssr {
 
@@ -41,9 +41,10 @@ struct convergence_options {
   /// Cooperative cancellation (pp/cancellation.hpp).  When set, the engine
   /// runs in bounded bursts and the token is polled between them; a fired
   /// token aborts the measurement with cancelled_error.  Burst boundaries
-  /// never change the trajectory -- engines resume their RNG stream
-  /// exactly -- so a cancellable run is bit-identical to an uncancellable
-  /// one up to the abort point.
+  /// never change the trajectory -- the batched engine carries an
+  /// unfinished null skip or pair batch into the next burst, and bursts
+  /// are whole sharded rounds (cancel_burst) -- so a cancellable run is
+  /// bit-identical to an uncancellable one up to the abort point.
   const cancel_token* cancel = nullptr;
   /// Request-scoped structured trace (obs/trace.hpp).  When set, the
   /// measurement emits run framing, convergence / correctness_lost markers,
@@ -119,6 +120,22 @@ class rank_tracker {
   std::vector<std::uint32_t> count_;
   std::uint32_t singletons_ = 0;
 };
+
+/// Interactions per cancellation burst: large enough that polling the token
+/// is free relative to the burst, small enough that a deadline is noticed
+/// within tens of milliseconds even on the batched engine.  An engine that
+/// plans its work in rounds (sharded_engine) gets a whole number of rounds,
+/// so splitting a run into bursts never changes its trajectory.
+template <simulation_engine E>
+std::uint64_t cancel_burst(const E& engine) {
+  std::uint64_t burst = std::max<std::uint64_t>(
+      std::uint64_t{engine.population_size()} * 64, std::uint64_t{1} << 22);
+  if constexpr (requires { engine.round_interactions(); }) {
+    if (const std::uint64_t round = engine.round_interactions(); round > 0)
+      burst = (burst + round - 1) / round * round;
+  }
+  return burst;
+}
 
 namespace detail {
 
@@ -242,11 +259,8 @@ convergence_result measure_convergence_loop(
   bool ever_correct = was_correct;
   std::uint32_t pre_ra = 0, pre_rb = 0;  // captured by the pre hook
 
-  // Cancellation polls at burst boundaries: large enough that the poll is
-  // free relative to the burst, small enough that a deadline is noticed
-  // within tens of milliseconds even on the batched engine.
-  const std::uint64_t cancel_burst =
-      std::max<std::uint64_t>(std::uint64_t{n} * 64, std::uint64_t{1} << 22);
+  // Cancellation polls at burst boundaries.
+  const std::uint64_t burst = cancel_burst(engine);
 
   while (engine.interactions() < max_interactions) {
     if (opt.cancel != nullptr) opt.cancel->throw_if_cancelled();
@@ -265,7 +279,7 @@ convergence_result measure_convergence_loop(
                                       last_entry + confirm_interactions)
             : max_interactions;
     if (opt.cancel != nullptr) {
-      budget = std::min(budget, engine.interactions() + cancel_burst);
+      budget = std::min(budget, engine.interactions() + burst);
     }
     engine.run(
         budget,
@@ -363,23 +377,6 @@ convergence_result measure_convergence_run(
   }
 }
 
-/// Runs `protocol` from `initial` under the uniform scheduler and measures
-/// convergence per the options.  `final_config`, when non-null, receives the
-/// configuration at the end of the run.  Equivalent to
-/// measure_convergence_with(engine_kind::direct, ...).
-template <ranking_protocol P>
-convergence_result measure_convergence(
-    P protocol, std::vector<typename P::agent_state> initial,
-    std::uint64_t seed, const convergence_options& opt = {},
-    std::vector<typename P::agent_state>* final_config = nullptr) {
-  SSR_REQUIRE(initial.size() == protocol.population_size());
-  direct_engine<P> engine(std::move(protocol), std::move(initial), seed);
-  engine.attach_profiler(opt.profiler != nullptr ? opt.profiler
-                                                : obs::profiler_default());
-  if (opt.counters != nullptr) engine.attach_counters(opt.counters);
-  return measure_convergence_run(engine, opt, final_config);
-}
-
 /// Engine-selectable variant: runs the measurement on the requested engine.
 /// All engines sample the same stabilization-time distribution
 /// (tests/engine_equivalence_test.cpp); the batched engine is the one that
@@ -397,30 +394,28 @@ convergence_result measure_convergence_with(
   // Profiling hook: opt.profiler (per-request collectors, e.g. serve jobs)
   // wins; otherwise the process-wide default a bench front end installed
   // with --profile is attached.
-  switch (spec.kind) {
-    case engine_kind::direct: {
-      direct_engine<P> engine(std::move(protocol), std::move(initial), seed);
-      engine.attach_profiler(opt.profiler != nullptr ? opt.profiler
-                                                : obs::profiler_default());
-      if (opt.counters != nullptr) engine.attach_counters(opt.counters);
-      return measure_convergence_run(engine, opt, final_config);
-    }
-    case engine_kind::sharded: {
-      sharded_engine<P> engine(std::move(protocol), std::move(initial), seed,
-                               {.shards = spec.shards});
-      engine.attach_profiler(opt.profiler != nullptr ? opt.profiler
-                                                : obs::profiler_default());
-      if (opt.counters != nullptr) engine.attach_counters(opt.counters);
-      return measure_convergence_run(engine, opt, final_config);
-    }
-    case engine_kind::batched:
-      break;
-  }
-  batched_engine<P> engine(std::move(protocol), std::move(initial), seed);
-  engine.attach_profiler(opt.profiler != nullptr ? opt.profiler
-                                                : obs::profiler_default());
-  if (opt.counters != nullptr) engine.attach_counters(opt.counters);
-  return measure_convergence_run(engine, opt, final_config);
+  return with_engine(
+      spec, std::move(protocol), std::move(initial), seed, [&](auto& engine) {
+        engine.attach_profiler(opt.profiler != nullptr
+                                   ? opt.profiler
+                                   : obs::profiler_default());
+        if (opt.counters != nullptr) engine.attach_counters(opt.counters);
+        return measure_convergence_run(engine, opt, final_config);
+      });
+}
+
+/// Runs `protocol` from `initial` under the uniform scheduler and measures
+/// convergence per the options.  `final_config`, when non-null, receives the
+/// configuration at the end of the run.  Equivalent to
+/// measure_convergence_with(engine_kind::direct, ...).
+template <ranking_protocol P>
+convergence_result measure_convergence(
+    P protocol, std::vector<typename P::agent_state> initial,
+    std::uint64_t seed, const convergence_options& opt = {},
+    std::vector<typename P::agent_state>* final_config = nullptr) {
+  return measure_convergence_with(engine_kind::direct, std::move(protocol),
+                                  std::move(initial), seed, opt,
+                                  final_config);
 }
 
 }  // namespace ssr

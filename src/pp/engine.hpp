@@ -23,10 +23,11 @@
 // such nulls under the uniform scheduler is geometric with success
 // probability W / n(n-1) (W = weight of maybe-active ordered pairs), and
 // the maybe-active pair terminating the run is uniform over the
-// maybe-active set -- both sampled exactly.  Interrupting a geometric skip
-// at an interaction budget and redrawing later is also exact, by
-// memorylessness.  The distribution-equivalence suite
-// (tests/engine_equivalence_test.cpp) checks this end to end with
+// maybe-active set -- both sampled exactly.  A geometric skip that outruns
+// an interaction budget is carried into the next run() rather than
+// redrawn, so the trajectory does not depend on how a caller splits its
+// budget (cancellation bursts, checkpoints).  The distribution-equivalence
+// suite (tests/engine_equivalence_test.cpp) checks this end to end with
 // two-sample KS tests.
 //
 // Engines run under caller-supplied hooks:
@@ -374,16 +375,24 @@ class batched_engine<P, true> {
       if (2 * active >= total) {
         pair = sample_pair(rng_, n_);  // dense regime: skipping cannot win
       } else {
-        const std::uint64_t skip = geometric_failures(
-            rng_, static_cast<double>(active) / static_cast<double>(total));
-        if (counters_) ++counters_->geometric_draws;
-        if (skip >= max_interactions - interactions_) {
-          // The next maybe-active interaction falls beyond the budget; by
-          // memorylessness, stopping here and redrawing later is exact.
-          if (counters_) {
-            counters_->certain_nulls_skipped +=
-                max_interactions - interactions_;
-          }
+        // A skip left over from the previous run() is still exact: no
+        // interaction executed since it was drawn, so `active` is unchanged.
+        std::uint64_t skip = 0;
+        if (pending_skip_.has_value()) {
+          skip = *pending_skip_;
+          pending_skip_.reset();
+        } else {
+          skip = geometric_failures(
+              rng_, static_cast<double>(active) / static_cast<double>(total));
+          if (counters_) ++counters_->geometric_draws;
+        }
+        const std::uint64_t left = max_interactions - interactions_;
+        if (skip >= left) {
+          // The next maybe-active interaction falls beyond the budget.  Keep
+          // the rest of the skip for the next run(), so splitting a run
+          // into bursts never changes the trajectory.
+          if (counters_) counters_->certain_nulls_skipped += left;
+          pending_skip_ = skip - left;
           interactions_ = max_interactions;
           return false;
         }
@@ -485,6 +494,9 @@ class batched_engine<P, true> {
   std::vector<std::uint32_t> bucket_of_;             // agent -> bucket
   std::vector<std::uint32_t> pos_;                   // agent -> slot
   detail::pair_weight_tree weight_;                  // same-key pair weights
+  // Certain nulls still to skip before the next maybe-active pair, carried
+  // across run() calls when a skip outran the budget.
+  std::optional<std::uint64_t> pending_skip_;
   obs::engine_counters* counters_ = nullptr;
   obs::timeline_profiler* profiler_ = nullptr;
 };
@@ -492,6 +504,8 @@ class batched_engine<P, true> {
 /// Generic batched engine: collision-aware block sampling, applied in
 /// order.  Exact for every protocol (the pair stream is the scheduler's
 /// i.i.d. stream); the win is the tight RNG loop, not null skipping.
+/// Blocks are drawn independently of the run() budget, so the trajectory
+/// does not depend on how a caller splits its budget either.
 template <population_protocol P>
 class batched_engine<P, false> {
  public:
@@ -553,10 +567,18 @@ class batched_engine<P, false> {
   template <class Pre, class Post>
   bool run_loop(std::uint64_t max_interactions, Pre&& pre, Post&& post) {
     while (interactions_ < max_interactions) {
-      const auto batch =
-          scheduler_.next_batch(rng_, max_interactions - interactions_);
-      if (counters_) ++counters_->batches_drawn;
-      for (const agent_pair& pair : batch) {
+      // Batches are drawn whole, whatever the budget; a budget that ends
+      // mid-batch leaves the rest for the next run(), so splitting a run
+      // into bursts never changes the trajectory.
+      if (next_in_batch_ == scheduler_.last_batch().size()) {
+        scheduler_.next_batch(rng_);
+        next_in_batch_ = 0;
+        if (counters_) ++counters_->batches_drawn;
+      }
+      const auto batch = scheduler_.last_batch();
+      while (next_in_batch_ < batch.size() &&
+             interactions_ < max_interactions) {
+        const agent_pair pair = batch[next_in_batch_++];
         pre(pair);
         const bool changed = protocol_.interact(
             agents_[pair.initiator], agents_[pair.responder], rng_);
@@ -565,7 +587,10 @@ class batched_engine<P, false> {
           ++counters_->interactions_executed;
           counters_->transitions_changed += changed;
         }
-        if (post(pair, changed)) return true;
+        if (post(pair, changed)) {
+          next_in_batch_ = batch.size();  // a stop abandons the batch
+          return true;
+        }
       }
     }
     return false;
@@ -575,9 +600,42 @@ class batched_engine<P, false> {
   std::vector<agent_state> agents_;
   rng_t rng_;
   batch_scheduler scheduler_;
+  std::size_t next_in_batch_ = 0;  // position in scheduler_.last_batch()
   std::uint64_t interactions_ = 0;
   obs::engine_counters* counters_ = nullptr;
   obs::timeline_profiler* profiler_ = nullptr;
 };
 
+template <population_protocol P>
+class sharded_engine;  // pp/sharded_scheduler.hpp, included below
+
+/// Builds the engine `spec` selects over (protocol, initial, seed) and
+/// returns f(engine).  This is the one place an engine_kind becomes an
+/// engine type: the dispatch happens once per call, and f is instantiated
+/// per engine type, so the interaction loop inside stays a template with no
+/// virtual call per interaction.
+template <population_protocol P, class F>
+decltype(auto) with_engine(engine_spec spec, P protocol,
+                           std::vector<typename P::agent_state> initial,
+                           std::uint64_t seed, F&& f) {
+  switch (spec.kind) {
+    case engine_kind::direct: {
+      direct_engine<P> engine(std::move(protocol), std::move(initial), seed);
+      return f(engine);
+    }
+    case engine_kind::sharded: {
+      sharded_engine<P> engine(std::move(protocol), std::move(initial), seed,
+                               {.shards = spec.shards});
+      return f(engine);
+    }
+    case engine_kind::batched:
+      break;
+  }
+  batched_engine<P> engine(std::move(protocol), std::move(initial), seed);
+  return f(engine);
+}
+
 }  // namespace ssr
+
+// with_engine names sharded_engine, which is built on the engines above.
+#include "pp/sharded_scheduler.hpp"  // IWYU pragma: export

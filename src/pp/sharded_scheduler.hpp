@@ -276,6 +276,13 @@ class sharded_engine {
 
   /// Effective shard count after clamping (1 means the batched delegate).
   std::uint32_t shards() const { return delegate_ ? 1 : layout_.shards; }
+  /// Interactions per planned round (0 for the batched delegate).  A run()
+  /// budget that ends mid-round plans a shorter round, so callers that
+  /// split one run into bursts make the bursts whole rounds to keep the
+  /// trajectory of the unsplit run.
+  std::uint64_t round_interactions() const {
+    return delegate_ ? 0 : round_length();
+  }
   /// Worker threads run_parallel uses (coordinator included).
   std::uint32_t thread_count() {
     if (delegate_) return 1;

@@ -1,11 +1,10 @@
 // Executes one validated simulation request and renders its result JSON.
 //
 // This is the bridge between the service scheduler and the measurement
-// substrate: a validated util::sim_request_spec maps onto the same
-// protocol constructions, adversarial scenarios, and engine selection the
-// bench helpers use (bench/common.cpp), run through run_trials with
-// sequential per-job execution -- the serve worker pool is the
-// concurrency, so one job never fans out internally.
+// substrate: every trial of a validated util::sim_request_spec runs through
+// the protocol catalog's run_trial (protocols/catalog.hpp), the same call
+// the bench helpers make, with sequential per-job execution -- the serve
+// worker pool is the concurrency, so one job never fans out internally.
 //
 // Determinism contract: the result document is a pure function of the
 // spec.  Trial seeds derive from spec.seed exactly as in every bench

@@ -12,7 +12,6 @@
 #include "analysis/regression.hpp"
 #include "analysis/statistics.hpp"
 #include "analysis/table.hpp"
-#include "pp/accelerated.hpp"
 #include "pp/batch_scheduler.hpp"
 #include "pp/continuous_time.hpp"
 #include "pp/convergence.hpp"

@@ -2,36 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
 
+#include "protocols/catalog.hpp"
 #include "util/edit_distance.hpp"
 
 namespace ssr::util {
 namespace {
 
-constexpr std::string_view k_protocols[] = {
-    "baseline",
-    "optimal",
-    "sublinear",
-    "loose",
-};
-
 constexpr std::string_view k_engines[] = {"direct", "batched", "sharded"};
-
-constexpr std::string_view k_baseline_scenarios[] = {"uniform_random"};
-
-constexpr std::string_view k_optimal_scenarios[] = {
-    "uniform_random",        "all_settled_rank_one", "no_leader",
-    "all_unsettled_expired", "all_dormant_followers", "duplicated_ranks",
-    "valid_ranking",
-};
-
-constexpr std::string_view k_sublinear_scenarios[] = {
-    "uniform_random", "all_same_name",     "single_collision",
-    "ghost_names",    "missing_own_name",  "planted_histories",
-    "mid_reset",      "valid_ranking",
-};
-
-constexpr std::string_view k_loose_scenarios[] = {"dead_configuration"};
 
 bool contains(std::span<const std::string_view> names, std::string_view v) {
   return std::find(names.begin(), names.end(), v) != names.end();
@@ -62,14 +41,20 @@ std::string render_errors(std::span<const spec_error> errors) {
   return out;
 }
 
-std::span<const std::string_view> protocol_names() { return k_protocols; }
+std::span<const std::string_view> protocol_names() {
+  static const std::vector<std::string_view> names = [] {
+    std::vector<std::string_view> out;
+    for (const protocol_entry& entry : protocol_catalog())
+      out.push_back(entry.name);
+    return out;
+  }();
+  return names;
+}
 
 std::span<const std::string_view> scenario_names(std::string_view protocol) {
-  if (protocol == "baseline") return k_baseline_scenarios;
-  if (protocol == "optimal") return k_optimal_scenarios;
-  if (protocol == "sublinear") return k_sublinear_scenarios;
-  if (protocol == "loose") return k_loose_scenarios;
-  return {};
+  const protocol_entry* entry = find_protocol(protocol);
+  return entry != nullptr ? entry->scenarios
+                          : std::span<const std::string_view>{};
 }
 
 std::optional<std::uint64_t> parse_u64(std::string_view text) {
@@ -98,32 +83,43 @@ std::string unknown_name_message(std::string_view what, std::string_view given,
   return message;
 }
 
+std::vector<spec_field> sim_request_spec::fields() const {
+  const protocol_entry* entry = find_protocol(protocol);
+  std::vector<spec_field> out = {
+      {"protocol", protocol},
+      {"scenario", scenario},
+      {"n", std::uint64_t{n}},
+  };
+  if (entry != nullptr && entry->uses_h) out.push_back({"h", std::uint64_t{h}});
+  if (entry != nullptr && entry->uses_t_max)
+    out.push_back({"t_max", std::uint64_t{t_max}});
+  out.push_back({"trials", trials});
+  out.push_back({"seed", seed});
+  out.push_back({"max_time", max_time});
+  out.push_back({"engine", to_string(engine.kind)});
+  if (engine.kind == engine_kind::sharded)
+    out.push_back({"shards", std::uint64_t{engine.shards}});
+  return out;
+}
+
 std::string sim_request_spec::canonical() const {
-  std::string key = "protocol=";
-  key += protocol;
-  key += " scenario=";
-  key += scenario;
-  key += " n=";
-  key += std::to_string(n);
-  if (protocol == "sublinear") {
-    key += " h=";
-    key += std::to_string(h);
-  }
-  if (protocol == "loose") {
-    key += " t_max=";
-    key += std::to_string(t_max);
-  }
-  key += " trials=";
-  key += std::to_string(trials);
-  key += " seed=";
-  key += std::to_string(seed);
-  key += " max_time=";
-  key += format_double(max_time);
-  key += " engine=";
-  key += to_string(engine.kind);
-  if (engine.kind == engine_kind::sharded) {
-    key += " shards=";
-    key += std::to_string(engine.shards);
+  std::string key;
+  for (const spec_field& field : fields()) {
+    if (!key.empty()) key += ' ';
+    key += field.name;
+    key += '=';
+    std::visit(
+        [&key](const auto& v) {
+          using T = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, std::string_view>) {
+            key += v;
+          } else if constexpr (std::is_same_v<T, double>) {
+            key += format_double(v);
+          } else {
+            key += std::to_string(v);
+          }
+        },
+        field.value);
   }
   return key;
 }
@@ -244,16 +240,15 @@ std::vector<spec_error> telemetry_builder::finalize() {
 std::vector<spec_error> spec_builder::finalize() {
   std::vector<spec_error> errors = syntax_errors_;
 
-  const bool protocol_known = contains(k_protocols, spec_.protocol);
-  if (!protocol_known) {
+  const protocol_entry* entry = find_protocol(spec_.protocol);
+  if (entry == nullptr) {
     errors.push_back({"protocol", unknown_name_message("protocol",
                                                        spec_.protocol,
-                                                       k_protocols)});
+                                                       protocol_names())});
   } else {
-    // Protocol-specific scenario default: loose has no uniform_random.
-    if (!scenario_given_ && spec_.protocol == "loose")
-      spec_.scenario = "dead_configuration";
-    const auto scenarios = scenario_names(spec_.protocol);
+    // Protocol-specific scenario default: the entry's first scenario.
+    if (!scenario_given_) spec_.scenario = entry->scenarios.front();
+    const auto scenarios = entry->scenarios;
     if (!contains(scenarios, spec_.scenario)) {
       std::string what = spec_.protocol;
       what += " scenario";
@@ -291,8 +286,10 @@ std::vector<spec_error> spec_builder::finalize() {
     errors.push_back({"trials", "trial count must be positive"});
   if (!(spec_.max_time > 0.0))
     errors.push_back({"max_time", "parallel-time budget must be positive"});
-  if (protocol_known && spec_.protocol == "sublinear" && spec_.h == 0)
-    errors.push_back({"h", "sublinear history depth must be at least 1"});
+  if (entry != nullptr && entry->uses_h && spec_.h == 0) {
+    errors.push_back(
+        {"h", std::string(entry->name) + " history depth must be at least 1"});
+  }
 
   return errors;
 }

@@ -24,6 +24,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "pp/engine.hpp"
@@ -44,6 +45,12 @@ struct spec_error {
 /// front ends print (the serve wire keeps the structured list).
 std::string render_errors(std::span<const spec_error> errors);
 
+/// One spec field as canonical() and the JSON echoes of a spec render it.
+struct spec_field {
+  std::string_view name;
+  std::variant<std::string_view, std::uint64_t, double> value;
+};
+
 struct sim_request_spec {
   std::string protocol = "optimal";
   std::string scenario = "uniform_random";
@@ -61,11 +68,17 @@ struct sim_request_spec {
   /// same samples), which is what makes the serve result cache exact.
   std::string canonical() const;
 
+  /// The fields behind canonical(), in its order: every default
+  /// materialized, fields the protocol (per its catalog entry) or the
+  /// engine ignores dropped.  The serve result and the bundle's
+  /// scenario.json echo the spec from this same list.
+  std::vector<spec_field> fields() const;
+
   friend bool operator==(const sim_request_spec&,
                          const sim_request_spec&) = default;
 };
 
-/// Valid protocol names, in the order --list-protocols prints them.
+/// Valid protocol names, in catalog (--list-protocols) order.
 std::span<const std::string_view> protocol_names();
 
 /// Valid scenario names for `protocol` (empty span for unknown protocols).
@@ -78,7 +91,8 @@ std::span<const std::string_view> scenario_names(std::string_view protocol);
 ///
 ///   * protocol and engine names must be known (nearest-name suggestion);
 ///   * the scenario must belong to the protocol's scenario set;
-///   * n >= 2, trials >= 1, max_time > 0, h >= 1 for sublinear;
+///   * n >= 2, trials >= 1, max_time > 0, h >= 1 where the protocol
+///     reads h;
 ///   * shards may only be given with engine=sharded, and an explicit
 ///     shards=0 is rejected (omit the field for hardware concurrency) --
 ///     nothing is silently clamped or ignored.

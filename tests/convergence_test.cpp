@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "pp/cancellation.hpp"
+#include "protocols/adversary.hpp"
 #include "protocols/silent_n_state.hpp"
 
 namespace ssr {
@@ -112,6 +114,44 @@ TEST(MeasureConvergence, DeterministicForSameSeed) {
   EXPECT_EQ(a.interactions, b.interactions);
   EXPECT_DOUBLE_EQ(a.convergence_time, b.convergence_time);
 }
+
+// A cancel token makes the harness run the engine in bursts of
+// max(64 n, 2^22) interactions.  A token that never fires must leave the
+// result bit-identical on every engine: the batched engine carries a null
+// skip that outruns one burst into the next instead of redrawing it.
+class NeverFiredCancel : public ::testing::TestWithParam<engine_spec> {};
+
+TEST_P(NeverFiredCancel, LeavesConvergenceResultBitIdentical) {
+  // The baseline at n = 384 runs ~2.5e7 interactions: several bursts.
+  constexpr std::uint32_t n = 384;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    const silent_n_state_ssr protocol(n);
+    rng_t rng(seed);
+    const auto initial = adversarial_configuration(protocol, rng);
+    convergence_options opt;
+    const convergence_result plain =
+        measure_convergence_with(GetParam(), protocol, initial, seed, opt);
+    const cancel_token never;
+    opt.cancel = &never;
+    const convergence_result bursts =
+        measure_convergence_with(GetParam(), protocol, initial, seed, opt);
+    ASSERT_TRUE(plain.converged);
+    ASSERT_GT(plain.interactions, std::uint64_t{2} << 22);
+    EXPECT_EQ(plain.interactions, bursts.interactions) << "seed " << seed;
+    EXPECT_EQ(plain.convergence_time, bursts.convergence_time)
+        << "seed " << seed;
+    EXPECT_EQ(plain.correctness_losses, bursts.correctness_losses);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, NeverFiredCancel,
+    ::testing::Values(engine_spec{engine_kind::direct},
+                      engine_spec{engine_kind::batched},
+                      engine_spec{engine_kind::sharded, 2}),
+    [](const ::testing::TestParamInfo<engine_spec>& param) {
+      return std::string(to_string(param.param.kind));
+    });
 
 }  // namespace
 }  // namespace ssr

@@ -8,7 +8,9 @@
 //   * simulation<P>::step trajectories replay exactly from a recorded seed;
 //   * direct_engine<P> consumes the RNG stream identically to simulation<P>,
 //     the contract that keeps every seed-pinned historical result valid
-//     under the engine-concept refactor.
+//     under the engine-concept refactor;
+//   * splitting one run into several run() calls (cancellation bursts, CLI
+//     checkpoints) follows the unsplit trajectory on both batched paths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 #include "protocols/optimal_silent.hpp"
 #include "protocols/serialize.hpp"
 #include "protocols/silent_n_state.hpp"
+#include "protocols/sublinear.hpp"
 
 namespace {
 
@@ -105,6 +108,42 @@ TEST(Determinism, DirectEngineMatchesSimulationTrajectory) {
         << "direct_engine diverged from simulation<P> by interaction "
         << sim.interactions();
   }
+}
+
+/// Runs `total` interactions in one run() call and in run() calls of
+/// `chunk` interactions from the same start and seed; the two must end in
+/// the same configuration.
+template <class Engine, class P>
+void expect_split_run_matches(const P& protocol,
+                              const std::vector<typename P::agent_state>& initial,
+                              std::uint64_t chunk, std::uint64_t total) {
+  const auto no_pre = [](const agent_pair&) {};
+  const auto no_stop = [](const agent_pair&, bool) { return false; };
+  Engine whole(protocol, initial, 4242);
+  whole.run(total, no_pre, no_stop);
+  Engine split(protocol, initial, 4242);
+  while (split.interactions() < total) {
+    split.run(std::min(total, split.interactions() + chunk), no_pre, no_stop);
+  }
+  ASSERT_EQ(whole.interactions(), split.interactions());
+  EXPECT_EQ(to_text(protocol, whole.agents()),
+            to_text(protocol, split.agents()));
+}
+
+TEST(Determinism, SplitRunsFollowTheUnsplitTrajectory) {
+  // Count path: the null skips near stabilization outrun every chunk.
+  const silent_n_state_ssr baseline(64);
+  rng_t rng(5);
+  const auto baseline_start = adversarial_configuration(baseline, rng);
+  expect_split_run_matches<batched_engine<silent_n_state_ssr>>(
+      baseline, baseline_start, 997, 2'000'000);
+  // Block path: the transition draws randomness (names after a reset), so
+  // where a batch is drawn relative to it matters.
+  const sublinear_time_ssr sublinear(8, 1);
+  const auto sublinear_start = adversarial_configuration(
+      sublinear, sublinear_scenario::all_same_name, rng);
+  expect_split_run_matches<batched_engine<sublinear_time_ssr>>(
+      sublinear, sublinear_start, 37, 20'000);
 }
 
 }  // namespace

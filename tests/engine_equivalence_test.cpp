@@ -123,17 +123,7 @@ std::vector<double> sublinear_sample(engine_spec spec, std::uint64_t base,
 template <class Drive>
 double drive_loose(engine_spec spec, const loose_stabilizing_le& p,
                    std::uint64_t s, Drive&& drive) {
-  if (spec.kind == engine_kind::direct) {
-    direct_engine<loose_stabilizing_le> eng(p, p.dead_configuration(), s);
-    return drive(eng);
-  }
-  if (spec.kind == engine_kind::sharded) {
-    sharded_engine<loose_stabilizing_le> eng(p, p.dead_configuration(), s,
-                                             {.shards = spec.shards});
-    return drive(eng);
-  }
-  batched_engine<loose_stabilizing_le> eng(p, p.dead_configuration(), s);
-  return drive(eng);
+  return with_engine(spec, p, p.dead_configuration(), s, drive);
 }
 
 std::vector<double> loose_sample(engine_spec spec, std::uint64_t base,

@@ -23,9 +23,12 @@
 //
 // --json writes a machine-readable run summary (verdict, parallel time,
 // engine counters); --trace-out writes the structured event stream
-// (obs/trace.hpp) as JSONL.  Tracing observes interactions through the
-// engine hook API, so it requires the complete graph and routes the run
-// through direct_engine/batched_engine/sharded_engine per --engine.
+// (obs/trace.hpp) as JSONL.  Every complete-graph run goes through the
+// engine --engine selects (pp/engine.hpp, with_engine), so tracing and
+// profiling attach to the run without changing it; the other topologies
+// run on graph_simulation and take neither.  The protocol, its scenarios
+// and its lint entries come from the protocol catalog
+// (protocols/catalog.hpp).
 // --engine=sharded runs the sharded engine's sequential hooked mode (the
 // CLI's summaries and verdict need per-interaction hooks); its threaded
 // run_parallel twin is exercised by bench_engine_scaling and the TSan test
@@ -58,7 +61,7 @@
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "pp/graph_simulation.hpp"
-#include "protocols/adversary.hpp"
+#include "protocols/catalog.hpp"
 #include "protocols/describe.hpp"
 #include "serve/request_context.hpp"
 #include "serve/runner.hpp"
@@ -71,15 +74,10 @@ namespace {
 using namespace ssr;
 
 struct options {
-  std::string protocol = "optimal";
-  std::uint32_t n = 32;
-  std::uint32_t h = 1;
-  std::uint32_t t_max = 0;  // loose: 0 = 4 log2 n
-  std::string scenario = "uniform_random";
+  /// protocol, scenario, n, h, t_max, seed, max_time, engine, shards.
+  util::sim_request_spec spec;
   std::string graph = "complete";
   double graph_p = 0.9;  // for --graph=gnp
-  std::uint64_t seed = 1;
-  double max_time = 1e7;
   double trace_every = 0.0;  // 0 = only start/end
   bool show_agents = false;
   std::string dump_path;   // write the starting configuration here
@@ -93,8 +91,6 @@ struct options {
   bool profile = false;    // hierarchical section profiling (wall + perf)
   std::string profile_out;     // folded-stack output path (implies profile)
   std::string profile_chrome;  // chrome trace output path (implies profile)
-  engine_kind engine = engine_kind::direct;
-  std::uint32_t shards = 0;  // sharded engine: 0 = hardware concurrency
 
   obs::trace_options trace_options() const {
     return {.sample_every = trace_sample_every, .max_events = trace_cap};
@@ -112,32 +108,6 @@ constexpr std::string_view cli_flags[] = {
     "--trace-cap",      "--progress",    "--profile",
     "--profile-out",    "--profile-chrome", "--lint",
     "--list-protocols", "--list-scenarios", "--help",
-};
-
-constexpr std::pair<std::string_view, optimal_silent_scenario>
-    optimal_scenarios[] = {
-        {"uniform_random", optimal_silent_scenario::uniform_random},
-        {"all_settled_rank_one",
-         optimal_silent_scenario::all_settled_rank_one},
-        {"no_leader", optimal_silent_scenario::no_leader},
-        {"all_unsettled_expired",
-         optimal_silent_scenario::all_unsettled_expired},
-        {"all_dormant_followers",
-         optimal_silent_scenario::all_dormant_followers},
-        {"duplicated_ranks", optimal_silent_scenario::duplicated_ranks},
-        {"valid_ranking", optimal_silent_scenario::valid_ranking},
-};
-
-constexpr std::pair<std::string_view, sublinear_scenario>
-    sublinear_scenarios[] = {
-        {"uniform_random", sublinear_scenario::uniform_random},
-        {"all_same_name", sublinear_scenario::all_same_name},
-        {"single_collision", sublinear_scenario::single_collision},
-        {"ghost_names", sublinear_scenario::ghost_names},
-        {"missing_own_name", sublinear_scenario::missing_own_name},
-        {"planted_histories", sublinear_scenario::planted_histories},
-        {"mid_reset", sublinear_scenario::mid_reset},
-        {"valid_ranking", sublinear_scenario::valid_ranking},
 };
 
 [[noreturn]] void usage(const std::string& error = "") {
@@ -205,22 +175,6 @@ constexpr std::pair<std::string_view, sublinear_scenario>
   std::exit(2);
 }
 
-constexpr std::pair<std::string_view, std::string_view> protocol_blurbs[] = {
-    {"baseline",
-     "Silent-n-state-SSR (Theta(n^2) time, n states; Table 1 row 1)"},
-    {"optimal", "Optimal-Silent-SSR (O(n) time, O(n) states; Theorem 4.1)"},
-    {"sublinear",
-     "Sublinear-Time-SSR (O(n/2^h polylog n) time; Theorem 5.1)"},
-    {"loose",
-     "loose-stabilizing LE (Theta(log n)-state comparison point)"},
-};
-
-std::string_view blurb_of(std::string_view protocol) {
-  for (const auto& [name, blurb] : protocol_blurbs)
-    if (name == protocol) return blurb;
-  return {};
-}
-
 /// --list-protocols; with the bare --json modifier the listing is a
 /// machine-readable document instead of aligned text.
 [[noreturn]] void list_protocols(bool json) {
@@ -229,42 +183,37 @@ std::string_view blurb_of(std::string_view protocol) {
     doc["schema"] = "ssr.protocols";
     doc["schema_version"] = 1;
     obs::json_value arr = obs::json_value::array();
-    for (const std::string_view protocol : util::protocol_names()) {
+    for (const protocol_entry& entry : protocol_catalog()) {
       obs::json_value item = obs::json_value::object();
-      item["name"] = std::string(protocol);
-      item["description"] = std::string(blurb_of(protocol));
+      item["name"] = entry.name;
+      item["description"] = entry.blurb;
       arr.push_back(std::move(item));
     }
     doc["protocols"] = std::move(arr);
     std::cout << doc.dump(2) << '\n';
     std::exit(0);
   }
-  std::cout
-      << "baseline   Silent-n-state-SSR (Theta(n^2) time, n states; Table 1 "
-         "row 1)\n"
-      << "optimal    Optimal-Silent-SSR (O(n) time, O(n) states; Theorem "
-         "4.1)\n"
-      << "sublinear  Sublinear-Time-SSR (O(n/2^h polylog n) time; Theorem "
-         "5.1)\n"
-      << "loose      loose-stabilizing LE (Theta(log n)-state comparison "
-         "point)\n";
+  std::size_t width = 0;
+  for (const protocol_entry& entry : protocol_catalog())
+    width = std::max(width, entry.name.size());
+  for (const protocol_entry& entry : protocol_catalog()) {
+    std::cout << entry.name << std::string(width + 2 - entry.name.size(), ' ')
+              << entry.blurb << '\n';
+  }
   std::exit(0);
 }
 
 [[noreturn]] void list_scenarios(bool json) {
-  // One source of truth for names: the shared request-spec tables the
-  // benches and ssr_serve validate against (util/request_spec.hpp).
   if (json) {
     obs::json_value doc = obs::json_value::object();
     doc["schema"] = "ssr.scenarios";
     doc["schema_version"] = 1;
     obs::json_value arr = obs::json_value::array();
-    for (const std::string_view protocol : util::protocol_names()) {
+    for (const protocol_entry& entry : protocol_catalog()) {
       obs::json_value item = obs::json_value::object();
-      item["name"] = std::string(protocol);
+      item["name"] = entry.name;
       obs::json_value names = obs::json_value::array();
-      for (const std::string_view name : util::scenario_names(protocol))
-        names.push_back(std::string(name));
+      for (const std::string_view name : entry.scenarios) names.push_back(name);
       item["scenarios"] = std::move(names);
       arr.push_back(std::move(item));
     }
@@ -272,10 +221,9 @@ std::string_view blurb_of(std::string_view protocol) {
     std::cout << doc.dump(2) << '\n';
     std::exit(0);
   }
-  for (const std::string_view protocol : util::protocol_names()) {
-    std::cout << protocol << ':';
-    for (const std::string_view name : util::scenario_names(protocol))
-      std::cout << ' ' << name;
+  for (const protocol_entry& entry : protocol_catalog()) {
+    std::cout << entry.name << ':';
+    for (const std::string_view name : entry.scenarios) std::cout << ' ' << name;
     std::cout << '\n';
   }
   std::exit(0);
@@ -417,18 +365,10 @@ options parse(int argc, char** argv) {
   }
   const std::vector<util::spec_error> errors = builder.finalize();
   if (!errors.empty()) usage(util::render_errors(errors));
-  const util::sim_request_spec& spec = builder.spec();
-  opt.protocol = spec.protocol;
-  opt.scenario = spec.scenario;
-  opt.n = spec.n;
-  opt.h = spec.h;
-  opt.t_max = spec.t_max;
-  opt.seed = spec.seed;
-  opt.max_time = spec.max_time;
-  opt.engine = spec.engine.kind;
-  opt.shards = spec.engine.shards;
-  if (opt.engine != engine_kind::direct && opt.graph != "complete")
-    usage("--engine=" + std::string(to_string(opt.engine)) +
+  opt.spec = builder.spec();
+  const engine_kind engine = opt.spec.engine.kind;
+  if (engine != engine_kind::direct && opt.graph != "complete")
+    usage("--engine=" + std::string(to_string(engine)) +
           " requires --graph=complete");
   if (!opt.trace_path.empty() && opt.graph != "complete")
     usage("--trace-out requires --graph=complete (tracing attaches to the "
@@ -439,48 +379,18 @@ options parse(int argc, char** argv) {
   return opt;
 }
 
+/// The explicit edge list for --graph=ring|star|path|gnp.  The complete
+/// graph never gets one: its runs go through the engines' uniform
+/// scheduler, and an n(n-1)/2 edge list would not fit in memory at large n.
 interaction_graph make_graph(const options& opt) {
-  if (opt.graph == "complete") return interaction_graph::complete(opt.n);
-  if (opt.graph == "ring") return interaction_graph::ring(opt.n);
-  if (opt.graph == "star") return interaction_graph::star(opt.n);
-  if (opt.graph == "path") return interaction_graph::path(opt.n);
+  const std::uint32_t n = opt.spec.n;
+  if (opt.graph == "ring") return interaction_graph::ring(n);
+  if (opt.graph == "star") return interaction_graph::star(n);
+  if (opt.graph == "path") return interaction_graph::path(n);
   if (opt.graph == "gnp")
-    return interaction_graph::erdos_renyi(opt.n, opt.graph_p, opt.seed ^ 0x9e);
+    return interaction_graph::erdos_renyi(n, opt.graph_p,
+                                          opt.spec.seed ^ 0x9e);
   usage("unknown graph: " + opt.graph);
-}
-
-optimal_silent_scenario parse_optimal_scenario(const std::string& s) {
-  for (const auto& [name, value] : optimal_scenarios)
-    if (name == s) return value;
-  const std::string_view suggestion = nearest_candidate(
-      s, [] {
-        static std::vector<std::string_view> names;
-        if (names.empty())
-          for (const auto& [name, _] : optimal_scenarios)
-            names.push_back(name);
-        return std::span<const std::string_view>(names);
-      }());
-  std::string message = "unknown optimal scenario: " + s;
-  if (!suggestion.empty())
-    message += " (did you mean " + std::string(suggestion) + "?)";
-  usage(message);
-}
-
-sublinear_scenario parse_sublinear_scenario(const std::string& s) {
-  for (const auto& [name, value] : sublinear_scenarios)
-    if (name == s) return value;
-  const std::string_view suggestion = nearest_candidate(
-      s, [] {
-        static std::vector<std::string_view> names;
-        if (names.empty())
-          for (const auto& [name, _] : sublinear_scenarios)
-            names.push_back(name);
-        return std::span<const std::string_view>(names);
-      }());
-  std::string message = "unknown sublinear scenario: " + s;
-  if (!suggestion.empty())
-    message += " (did you mean " + std::string(suggestion) + "?)";
-  usage(message);
 }
 
 /// Single-run heartbeat behind --progress: owns a metrics registry whose
@@ -492,9 +402,9 @@ class run_progress {
   explicit run_progress(const options& opt) {
     if (!opt.progress) return;
     registry_.emplace();
-    registry_->get_gauge("run.max_parallel_time").set(opt.max_time);
+    registry_->get_gauge("run.max_parallel_time").set(opt.spec.max_time);
     meter_.emplace(*registry_,
-                   obs::progress_options{.label = opt.protocol});
+                   obs::progress_options{.label = opt.spec.protocol});
   }
 
   void update(double parallel_time, std::uint64_t interactions) {
@@ -575,8 +485,8 @@ class run_profile {
 /// gauges advance; otherwise one full-budget window.
 double progress_window(const options& opt) {
   if (opt.trace_every > 0) return opt.trace_every;
-  if (opt.progress) return std::max(opt.max_time / 1024.0, 1.0);
-  return opt.max_time;
+  if (opt.progress) return std::max(opt.spec.max_time / 1024.0, 1.0);
+  return opt.spec.max_time;
 }
 
 std::string slurp(const std::string& path) {
@@ -600,12 +510,12 @@ void write_summary(const options& opt, bool stabilized, double time,
   obs::json_value doc = obs::json_value::object();
   doc["schema_version"] = 1;
   doc["tool"] = "ssr_cli";
-  doc["protocol"] = opt.protocol;
-  doc["n"] = static_cast<std::uint64_t>(opt.n);
-  doc["scenario"] = opt.scenario;
+  doc["protocol"] = opt.spec.protocol;
+  doc["n"] = static_cast<std::uint64_t>(opt.spec.n);
+  doc["scenario"] = opt.spec.scenario;
   doc["graph"] = opt.graph;
-  doc["engine"] = std::string(to_string(opt.engine));
-  doc["seed"] = opt.seed;
+  doc["engine"] = std::string(to_string(opt.spec.engine.kind));
+  doc["seed"] = opt.spec.seed;
   doc["stabilized"] = stabilized;
   doc["parallel_time"] = time;
   doc["interactions"] = interactions;
@@ -651,30 +561,16 @@ std::vector<typename P::agent_state> resolve_initial(
   return initial;
 }
 
-/// Engine-based counterpart of drive() for --engine=batched (or whenever a
-/// trace is requested) on the complete graph: same summaries and verdict,
-/// but the trajectory advances through a pp/engine.hpp engine, correctness
-/// is tracked incrementally (the engine may skip certainly-null
-/// interactions, so a per-step full-scan check would defeat the point), and
-/// a phase observer emits the structured event stream for instrumented
-/// protocols.
-template <class Engine, class P>
-int drive_engine(const options& opt, const P& protocol,
-                 std::vector<typename P::agent_state> initial) {
-  initial = resolve_initial(opt, protocol, std::move(initial));
-  // The sharded engine takes its shard count at construction; the others
-  // keep the uniform three-argument signature.
-  Engine eng = [&] {
-    if constexpr (requires {
-                    Engine(protocol, std::move(initial), opt.seed,
-                           sharded_options{});
-                  }) {
-      return Engine(protocol, std::move(initial), opt.seed,
-                    sharded_options{.shards = opt.shards});
-    } else {
-      return Engine(protocol, std::move(initial), opt.seed);
-    }
-  }();
+/// Complete-graph runs: the trajectory advances through the engine --engine
+/// selects (pp/engine.hpp), correctness is tracked incrementally (the
+/// engine may skip certainly-null interactions, so a per-step full-scan
+/// check would defeat the point), and a phase observer emits the structured
+/// event stream for instrumented protocols.  --profile and --trace-out only
+/// attach to this run, so they never change what it prints.
+template <class P, class Engine>
+int drive_engine(const options& opt, const P& protocol, Engine& eng) {
+  const std::uint32_t n = opt.spec.n;
+  const double max_time = opt.spec.max_time;
   obs::engine_counters counters;
   eng.attach_counters(&counters);
   run_profile prof(opt);
@@ -711,11 +607,11 @@ int drive_engine(const options& opt, const P& protocol,
     };
     const double step_window = progress_window(opt);
     bool done = tracker.correct();
-    while (!done && eng.parallel_time() < opt.max_time) {
+    while (!done && eng.parallel_time() < max_time) {
       const double next_checkpoint =
-          std::min(eng.parallel_time() + step_window, opt.max_time);
+          std::min(eng.parallel_time() + step_window, max_time);
       done = eng.run(static_cast<std::uint64_t>(
-                         next_checkpoint * static_cast<double>(opt.n)),
+                         next_checkpoint * static_cast<double>(n)),
                      pre, post);
       progress.update(eng.parallel_time(), eng.interactions());
       if (opt.trace_every > 0 || done) {
@@ -783,17 +679,18 @@ int drive_engine(const options& opt, const P& protocol,
               << "agent\n";
     return 0;
   }
-  std::cout << "did NOT stabilize within t=" << opt.max_time << '\n';
+  std::cout << "did NOT stabilize within t=" << max_time << '\n';
   return 1;
 }
 
-/// Drives one run with periodic summaries; returns success.
+/// Runs on an explicit --graph topology with periodic summaries; returns
+/// the exit code.
 template <class P>
 int drive(const options& opt, const P& protocol,
           std::vector<typename P::agent_state> initial,
           const interaction_graph& graph) {
-  initial = resolve_initial(opt, protocol, std::move(initial));
-  graph_simulation<P> sim(protocol, graph, std::move(initial), opt.seed);
+  const double max_time = opt.spec.max_time;
+  graph_simulation<P> sim(protocol, graph, std::move(initial), opt.spec.seed);
   std::cout << "t=0.0: " << summarize_configuration(protocol, sim.agents())
             << '\n';
   if (opt.show_agents) {
@@ -805,16 +702,16 @@ int drive(const options& opt, const P& protocol,
   run_progress progress(opt);
   const double step_window = progress_window(opt);
   bool done = false;
-  while (!done && sim.parallel_time() < opt.max_time) {
+  while (!done && sim.parallel_time() < max_time) {
     const double next_checkpoint =
-        std::min(sim.parallel_time() + step_window, opt.max_time);
+        std::min(sim.parallel_time() + step_window, max_time);
     done = sim.run_until(
         [&](const graph_simulation<P>& s) {
           return is_valid_ranking(s.protocol(), s.agents()) ||
                  s.parallel_time() >= next_checkpoint;
         },
-        static_cast<std::uint64_t>(opt.max_time *
-                                   static_cast<double>(opt.n)));
+        static_cast<std::uint64_t>(max_time *
+                                   static_cast<double>(opt.spec.n)));
     done = done && is_valid_ranking(protocol, sim.agents());
     progress.update(sim.parallel_time(), sim.interactions());
     if (opt.trace_every > 0 || done) {
@@ -837,26 +734,14 @@ int drive(const options& opt, const P& protocol,
               << "agent\n";
     return 0;
   }
-  std::cout << "did NOT stabilize within t=" << opt.max_time << '\n';
+  std::cout << "did NOT stabilize within t=" << max_time << '\n';
   return 1;
 }
 
 /// Loose LE has no ranking notion; run until a unique leader, report.
 template <class Engine>
 int drive_loose_engine(const options& opt, const loose_stabilizing_le& p,
-                       std::vector<loose_stabilizing_le::agent_state>
-                           initial) {
-  Engine eng = [&] {
-    if constexpr (requires {
-                    Engine(p, std::move(initial), opt.seed,
-                           sharded_options{});
-                  }) {
-      return Engine(p, std::move(initial), opt.seed,
-                    sharded_options{.shards = opt.shards});
-    } else {
-      return Engine(p, std::move(initial), opt.seed);
-    }
-  }();
+                       Engine& eng) {
   obs::engine_counters counters;
   eng.attach_counters(&counters);
   run_profile prof(opt);
@@ -872,8 +757,8 @@ int drive_loose_engine(const options& opt, const loose_stabilizing_le& p,
   bool done = p.leader_count(eng.agents()) == 1;
   if (!done) {
     done = eng.run(
-        static_cast<std::uint64_t>(opt.max_time *
-                                   static_cast<double>(opt.n)),
+        static_cast<std::uint64_t>(opt.spec.max_time *
+                                   static_cast<double>(opt.spec.n)),
         [](const agent_pair&) {},
         [&](const agent_pair&, bool changed) {
           if ((eng.interactions() & 0xffff) == 0)
@@ -898,24 +783,32 @@ int drive_loose_engine(const options& opt, const loose_stabilizing_le& p,
   return done ? 0 : 1;
 }
 
-// Maps the CLI protocol name to the lint-registry entries covering it; the
-// sublinear entries are per history depth, so pick the one matching --h
-// (the linter's sampled checks only run at h <= 2).
-std::vector<std::string> lint_entries_for(const options& opt) {
-  if (opt.protocol == "baseline") return {"baseline"};
-  if (opt.protocol == "optimal") return {"optimal", "optimal-default"};
-  if (opt.protocol == "sublinear")
-    return {"sublinear-h" + std::to_string(std::min<std::uint32_t>(opt.h, 2))};
-  if (opt.protocol == "loose") return {"loose"};
-  return {};
+/// Loose LE on an explicit --graph topology.
+int drive_loose(const options& opt, const loose_stabilizing_le& p,
+                std::vector<loose_stabilizing_le::agent_state> initial,
+                const interaction_graph& graph) {
+  graph_simulation<loose_stabilizing_le> sim(p, graph, std::move(initial),
+                                             opt.spec.seed);
+  std::cout << "t=0.0: " << summarize_configuration(p, sim.agents()) << '\n';
+  const bool done = sim.run_until(
+      [&](const graph_simulation<loose_stabilizing_le>& s) {
+        return s.protocol().leader_count(s.agents()) == 1;
+      },
+      static_cast<std::uint64_t>(opt.spec.max_time *
+                                 static_cast<double>(opt.spec.n)));
+  std::cout << "t=" << sim.parallel_time() << ": "
+            << summarize_configuration(p, sim.agents()) << '\n';
+  write_summary(opt, done, sim.parallel_time(), sim.interactions(), nullptr,
+                nullptr);
+  return done ? 0 : 1;
 }
 
-// --lint: run the strict model lint for the selected protocol before
-// simulating; on violations print the findings and refuse to simulate.
+// --lint: run the strict model lint for the selected protocol (the
+// registry entries its catalog entry names) before simulating; on
+// violations print the findings and refuse to simulate.
 void run_lint_gate(const options& opt) {
   lint::lint_options lo;
-  lo.protocols = lint_entries_for(opt);
-  if (lo.protocols.empty()) return;  // unknown protocol: reported below
+  lo.protocols = find_protocol(opt.spec.protocol)->lint_entries(opt.spec.h);
   const lint::lint_report report = lint::run_lint(lo);
   if (!report.passed(/*strict=*/true)) {
     std::cerr << lint::render_report(report, /*strict=*/true);
@@ -1287,98 +1180,29 @@ int main(int argc, char** argv) {
   }
   const options opt = parse(argc, argv);
   if (opt.lint) run_lint_gate(opt);
-  rng_t scenario_rng(opt.seed ^ 0xabcdef123456ULL);
-  const interaction_graph graph = make_graph(opt);
-
-  const bool batched = opt.engine == engine_kind::batched;
-  const bool sharded = opt.engine == engine_kind::sharded;
-  // Tracing and profiling attach to the engine, so either request routes
-  // even --engine=direct runs through direct_engine instead of
-  // graph_simulation (parse() already pinned --graph=complete for these).
-  const bool engine_path =
-      batched || sharded || !opt.trace_path.empty() || opt.profile;
-  if (opt.protocol == "baseline") {
-    silent_n_state_ssr p(opt.n);
-    auto init = adversarial_configuration(p, scenario_rng);
-    if (engine_path) {
-      if (sharded)
-        return drive_engine<sharded_engine<silent_n_state_ssr>>(
-            opt, p, std::move(init));
-      return batched
-                 ? drive_engine<batched_engine<silent_n_state_ssr>>(
-                       opt, p, std::move(init))
-                 : drive_engine<direct_engine<silent_n_state_ssr>>(
-                       opt, p, std::move(init));
+  return with_catalog_entry(opt.spec.protocol, [&opt]<class Entry>() {
+    std::optional<interaction_graph> graph;
+    if (opt.graph != "complete") graph = make_graph(opt);
+    if (Entry::complete_graph_only && graph.has_value())
+      usage(std::string(Entry::name) + " runs on the complete graph only");
+    const typename Entry::protocol protocol = Entry::make(opt.spec);
+    rng_t scenario_rng(opt.spec.seed ^ 0xabcdef123456ULL);
+    auto initial = resolve_initial(
+        opt, protocol,
+        Entry::initial(protocol, opt.spec.scenario, scenario_rng));
+    if (graph.has_value()) {
+      if constexpr (Entry::measure == stabilization::unique_leader)
+        return drive_loose(opt, protocol, std::move(initial), *graph);
+      else
+        return drive(opt, protocol, std::move(initial), *graph);
     }
-    return drive(opt, p, std::move(init), graph);
-  }
-  if (opt.protocol == "optimal") {
-    optimal_silent_ssr p(opt.n);
-    auto init = adversarial_configuration(
-        p, parse_optimal_scenario(opt.scenario), scenario_rng);
-    if (engine_path) {
-      if (sharded)
-        return drive_engine<sharded_engine<optimal_silent_ssr>>(
-            opt, p, std::move(init));
-      return batched ? drive_engine<batched_engine<optimal_silent_ssr>>(
-                           opt, p, std::move(init))
-                     : drive_engine<direct_engine<optimal_silent_ssr>>(
-                           opt, p, std::move(init));
-    }
-    return drive(opt, p, std::move(init), graph);
-  }
-  if (opt.protocol == "sublinear") {
-    if (opt.graph != "complete")
-      usage("sublinear runs on the complete graph only");
-    sublinear_time_ssr p(opt.n, opt.h);
-    auto init = adversarial_configuration(
-        p, parse_sublinear_scenario(opt.scenario), scenario_rng);
-    if (engine_path) {
-      if (sharded)
-        return drive_engine<sharded_engine<sublinear_time_ssr>>(
-            opt, p, std::move(init));
-      return batched ? drive_engine<batched_engine<sublinear_time_ssr>>(
-                           opt, p, std::move(init))
-                     : drive_engine<direct_engine<sublinear_time_ssr>>(
-                           opt, p, std::move(init));
-    }
-    return drive(opt, p, std::move(init), graph);
-  }
-  if (opt.protocol == "loose") {
-    const auto t_max =
-        opt.t_max > 0
-            ? opt.t_max
-            : static_cast<std::uint32_t>(
-                  4 * std::ceil(std::log2(static_cast<double>(opt.n))));
-    loose_stabilizing_le p(opt.n, t_max);
-    auto initial =
-        resolve_initial(opt, p, p.dead_configuration());  // --dump/--load
-    if (engine_path) {
-      if (sharded)
-        return drive_loose_engine<sharded_engine<loose_stabilizing_le>>(
-            opt, p, std::move(initial));
-      return batched ? drive_loose_engine<batched_engine<loose_stabilizing_le>>(
-                           opt, p, std::move(initial))
-                     : drive_loose_engine<direct_engine<loose_stabilizing_le>>(
-                           opt, p, std::move(initial));
-    }
-    graph_simulation<loose_stabilizing_le> sim(p, graph, std::move(initial),
-                                               opt.seed);
-    std::cout << "t=0.0: " << summarize_configuration(p, sim.agents())
-              << '\n';
-    const bool done = sim.run_until(
-        [&](const graph_simulation<loose_stabilizing_le>& s) {
-          return s.protocol().leader_count(s.agents()) == 1;
-        },
-        static_cast<std::uint64_t>(opt.max_time *
-                                   static_cast<double>(opt.n)));
-    std::cout << "t=" << sim.parallel_time() << ": "
-              << summarize_configuration(p, sim.agents()) << '\n';
-    write_summary(opt, done, sim.parallel_time(), sim.interactions(),
-                  nullptr, nullptr);
-    return done ? 0 : 1;
-  }
-  // Unreachable: parse() already validated the protocol name.
-  usage(util::unknown_name_message("protocol", opt.protocol,
-                                   util::protocol_names()));
+    return with_engine(opt.spec.engine, protocol, std::move(initial),
+                       opt.spec.seed, [&](auto& engine) {
+                         if constexpr (Entry::measure ==
+                                       stabilization::unique_leader)
+                           return drive_loose_engine(opt, protocol, engine);
+                         else
+                           return drive_engine(opt, protocol, engine);
+                       });
+  });
 }
