@@ -161,8 +161,7 @@ int main(int argc, char** argv) {
         const auto probe = [&](auto& eng) {
           bool reset_seen = false;
           while (eng.interactions() < 20000) {
-            eng.run(eng.interactions() + 500, [](const agent_pair&) {},
-                    [](const agent_pair&, bool) { return false; });
+            eng.run(eng.interactions() + 500, ignore_pair, never_stop);
             for (const auto& s : eng.agents()) {
               if (s.role == sublinear_time_ssr::role_t::collecting)
                 max_nodes = std::max(max_nodes, s.tree.node_count());

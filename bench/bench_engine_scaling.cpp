@@ -58,8 +58,7 @@ double interactions_per_second(MakeEngine make, double budget_seconds) {
     if constexpr (requires { eng.run_parallel(std::uint64_t{}); }) {
       eng.run_parallel(before + chunk);
     } else {
-      eng.run(before + chunk, [](const agent_pair&) {},
-              [](const agent_pair&, bool) { return false; });
+      eng.run(before + chunk, ignore_pair, never_stop);
     }
     const double chunk_seconds = seconds_since(start) - elapsed;
     elapsed += chunk_seconds;

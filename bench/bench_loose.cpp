@@ -43,7 +43,7 @@ loose_outcome run_once(std::uint32_t n, std::uint32_t t_max,
     // interactions need no rescan.
     if (leaders() != 1) {
       eng.run(
-          UINT64_MAX, [](const agent_pair&) {},
+          UINT64_MAX, ignore_pair,
           [&](const agent_pair&, bool changed) {
             return changed && leaders() == 1;
           });
@@ -54,7 +54,7 @@ loose_outcome run_once(std::uint32_t n, std::uint32_t t_max,
     const auto cap =
         static_cast<std::uint64_t>(holding_cap * static_cast<double>(n));
     eng.run(
-        conv_steps + cap, [](const agent_pair&) {},
+        conv_steps + cap, ignore_pair,
         [&](const agent_pair&, bool changed) {
           return changed && leaders() != 1;
         });

@@ -13,7 +13,6 @@
 #include "common.hpp"
 #include "pp/convergence.hpp"
 #include "pp/engine.hpp"
-#include "pp/simulation.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
 #include "protocols/silent_n_state.hpp"
@@ -28,8 +27,8 @@ void BM_BaselineDirectInteractions(benchmark::State& state) {
   silent_n_state_ssr p(n);
   rng_t rng(1);
   auto init = adversarial_configuration(p, rng);
-  simulation<silent_n_state_ssr> sim(p, std::move(init), 2);
-  for (auto _ : state) sim.step();
+  direct_engine<silent_n_state_ssr> eng(p, std::move(init), 2);
+  for (auto _ : state) eng.run(eng.interactions() + 1, ignore_pair, never_stop);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BaselineDirectInteractions)->Arg(64)->Arg(1024);
@@ -48,8 +47,8 @@ BENCHMARK(BM_BaselineAcceleratedStabilization)->Arg(256)->Arg(1024);
 void BM_OptimalSilentInteractions(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   optimal_silent_ssr p(n);
-  simulation<optimal_silent_ssr> sim(p, p.initial_configuration(), 3);
-  for (auto _ : state) sim.step();
+  direct_engine<optimal_silent_ssr> eng(p, p.initial_configuration(), 3);
+  for (auto _ : state) eng.run(eng.interactions() + 1, ignore_pair, never_stop);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OptimalSilentInteractions)->Arg(64)->Arg(1024);
@@ -59,8 +58,8 @@ void BM_SublinearInteractions(benchmark::State& state) {
   const auto h = static_cast<std::uint32_t>(state.range(1));
   sublinear_time_ssr p(n, h);
   rng_t rng(4);
-  simulation<sublinear_time_ssr> sim(p, p.initial_configuration(rng), 5);
-  for (auto _ : state) sim.step();
+  direct_engine<sublinear_time_ssr> eng(p, p.initial_configuration(rng), 5);
+  for (auto _ : state) eng.run(eng.interactions() + 1, ignore_pair, never_stop);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SublinearInteractions)
@@ -92,8 +91,7 @@ void BM_BaselineBatchedInteractions(benchmark::State& state) {
       total += eng.interactions();
       eng = make();
     }
-    eng.run(eng.interactions() + 1024, [](const agent_pair&) {},
-            [](const agent_pair&, bool) { return false; });
+    eng.run(eng.interactions() + 1024, ignore_pair, never_stop);
   }
   total += eng.interactions();
   state.SetItemsProcessed(static_cast<std::int64_t>(total));
@@ -118,8 +116,7 @@ void BM_OptimalSilentBatchedInteractions(benchmark::State& state) {
       total += eng.interactions();
       eng = make();
     }
-    eng.run(eng.interactions() + 1024, [](const agent_pair&) {},
-            [](const agent_pair&, bool) { return false; });
+    eng.run(eng.interactions() + 1024, ignore_pair, never_stop);
   }
   total += eng.interactions();
   state.SetItemsProcessed(static_cast<std::int64_t>(total));
@@ -138,8 +135,7 @@ void BM_SublinearBatchedInteractions(benchmark::State& state) {
   std::uint64_t budget = 0;
   for (auto _ : state) {
     budget += 1024;
-    eng.run(budget, [](const agent_pair&) {},
-            [](const agent_pair&, bool) { return false; });
+    eng.run(budget, ignore_pair, never_stop);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(eng.interactions()));
 }

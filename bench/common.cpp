@@ -366,7 +366,7 @@ std::vector<double> detection_latencies(std::uint32_t n, std::uint32_t h,
             [](auto& eng) {
               eng.attach_profiler(obs::profiler_default());
               const bool detected = eng.run(
-                  2'000'000'000ull, [](const agent_pair&) {},
+                  2'000'000'000ull, ignore_pair,
                   [&eng](const agent_pair& pair, bool changed) {
                     if (!changed) return false;
                     const auto agents = eng.agents();

@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "analysis/timeseries.hpp"
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
 
@@ -19,24 +19,24 @@ int main() {
   rng_t scenario_rng(7);
   auto initial = adversarial_configuration(
       protocol, optimal_silent_scenario::duplicated_ranks, scenario_rng);
-  simulation<optimal_silent_ssr> sim(protocol, std::move(initial), 11);
+  direct_engine<optimal_silent_ssr> eng(protocol, std::move(initial), 11);
 
   time_series series({"settled", "unsettled", "resetting"});
   auto sample = [&] {
     double counts[3] = {0, 0, 0};
-    for (const auto& s : sim.agents())
+    for (const auto& s : eng.agents())
       ++counts[static_cast<int>(s.role)];
-    series.add(sim.parallel_time(), counts);
+    series.add(eng.parallel_time(), counts);
   };
 
   sample();
-  while (!is_valid_ranking(protocol, sim.agents())) {
-    for (int i = 0; i < 64; ++i) sim.step();
+  while (!is_valid_ranking(protocol, eng.agents())) {
+    eng.run(eng.interactions() + 64, ignore_pair, never_stop);
     sample();
   }
 
   std::cout << "Optimal-Silent-SSR from a duplicated-ranks start, n = " << n
-            << " (stabilized at t = " << sim.parallel_time() << "):\n\n";
+            << " (stabilized at t = " << eng.parallel_time() << "):\n\n";
   for (std::size_t c = 0; c < series.columns(); ++c)
     std::cout << series.ascii_chart(c, 72, 8) << '\n';
 

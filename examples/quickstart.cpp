@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "pp/convergence.hpp"
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
 
@@ -27,23 +27,22 @@ int main() {
 
   std::cout << "population: " << n << " agents, all dormant, no leader\n";
 
-  simulation<optimal_silent_ssr> sim(protocol, std::move(initial), /*seed=*/7);
-  const bool done = sim.run_until(
-      [](const simulation<optimal_silent_ssr>& s) {
-        return is_valid_ranking(s.protocol(), s.agents());
-      },
-      /*max_interactions=*/100'000'000ull);
+  direct_engine<optimal_silent_ssr> engine(protocol, std::move(initial),
+                                           /*seed=*/7);
+  const convergence_result result = measure_convergence_run(
+      engine, {.max_parallel_time = 100'000'000.0 / n});
 
-  if (!done) {
+  if (!result.converged) {
     std::cerr << "did not stabilize within the interaction budget\n";
     return 1;
   }
 
-  std::cout << "stabilized after " << sim.interactions() << " interactions ("
-            << sim.parallel_time() << " parallel time units)\n";
+  std::cout << "stabilized after " << engine.interactions()
+            << " interactions (" << engine.parallel_time()
+            << " parallel time units)\n";
 
   for (std::uint32_t i = 0; i < n; ++i) {
-    const auto& s = sim.agents()[i];
+    const auto& s = engine.agents()[i];
     if (is_leader(protocol, s))
       std::cout << "agent #" << i << " is the unique leader (rank 1)\n";
   }
@@ -51,7 +50,7 @@ int main() {
             << " -- ranking doubles as naming and leader election.\n";
 
   // Because the protocol is silent, the configuration is now frozen:
-  std::cout << "configuration is silent: "
-            << (sim.is_silent_configuration() ? "yes" : "no") << "\n";
+  const bool silent = is_silent_configuration(protocol, engine.agents());
+  std::cout << "configuration is silent: " << (silent ? "yes" : "no") << "\n";
   return 0;
 }

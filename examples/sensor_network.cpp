@@ -10,8 +10,9 @@
 #include <iostream>
 
 #include "analysis/table.hpp"
+#include "pp/convergence.hpp"
+#include "pp/engine.hpp"
 #include "pp/random.hpp"
-#include "pp/simulation.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
 
@@ -21,8 +22,14 @@ using namespace ssr;
 
 constexpr std::uint32_t n = 64;
 
-bool stabilized(const simulation<optimal_silent_ssr>& s) {
-  return is_valid_ranking(s.protocol(), s.agents());
+using sensor_engine = direct_engine<optimal_silent_ssr>;
+
+/// Runs until the sensors hold a valid ranking again, for at most
+/// `budget` more interactions.
+void stabilize(sensor_engine& eng, std::uint64_t budget) {
+  measure_convergence_run(
+      eng, {.max_parallel_time =
+                static_cast<double>(eng.interactions() + budget) / n});
 }
 
 }  // namespace
@@ -31,11 +38,11 @@ int main() {
   optimal_silent_ssr protocol(n);
 
   // Deploy: sensors boot Unsettled (a clean start, for once).
-  simulation<optimal_silent_ssr> sim(protocol, protocol.initial_configuration(),
-                                     /*seed=*/11);
-  sim.run_until(stabilized, 1'000'000'000ull);
+  sensor_engine eng(protocol, protocol.initial_configuration(),
+                    /*seed=*/11);
+  stabilize(eng, 1'000'000'000ull);
   std::cout << "deployment: coordinator elected after "
-            << format_fixed(sim.parallel_time(), 1) << " time units\n\n";
+            << format_fixed(eng.parallel_time(), 1) << " time units\n\n";
 
   text_table report({"fault burst", "sensors corrupted", "recovery time",
                      "unique coordinator"});
@@ -47,15 +54,15 @@ int main() {
     const std::uint32_t victims = burst_sizes[burst];
     for (std::uint32_t v = 0; v < victims; ++v) {
       const auto idx = uniform_below(fault_rng, n);
-      sim.mutable_agents()[idx] = adversarial_configuration(
+      eng.mutable_agents()[idx] = adversarial_configuration(
           protocol, optimal_silent_scenario::uniform_random, fault_rng)[0];
     }
-    const double before = sim.parallel_time();
-    sim.run_until(stabilized, sim.interactions() + 4'000'000'000ull);
-    const double recovery = sim.parallel_time() - before;
+    const double before = eng.parallel_time();
+    stabilize(eng, 4'000'000'000ull);
+    const double recovery = eng.parallel_time() - before;
     report.add_row({std::to_string(burst + 1), std::to_string(victims),
                     format_fixed(recovery, 1) + " time units",
-                    leader_count(protocol, sim.agents()) == 1 ? "yes" : "NO"});
+                    leader_count(protocol, eng.agents()) == 1 ? "yes" : "NO"});
   }
   report.print(std::cout);
 

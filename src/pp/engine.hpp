@@ -5,8 +5,10 @@
 // differs only in how much work each simulated interaction costs:
 //
 //   direct_engine<P>    one RNG draw + one transition call per interaction
-//                       (the reference semantics; identical to
-//                       simulation<P> stepping).
+//                       (the reference semantics).  Its second template
+//                       parameter is the pair sampler: uniform_pairs by
+//                       default, or an interaction_graph (pp/graph.hpp)
+//                       for runs off the complete graph.
 //   batched_engine<P>   for batch_countable_protocol P: a count-based
 //                       configuration index (per-key agent buckets + a
 //                       Fenwick tree of same-key pair weights) that skips
@@ -43,10 +45,12 @@
 // the interaction budget was exhausted.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -101,6 +105,12 @@ struct engine_spec {
   friend bool operator==(const engine_spec&, const engine_spec&) = default;
 };
 
+/// Hooks for run() callers that only advance the trajectory.
+inline constexpr auto ignore_pair = [](const agent_pair&) {};
+inline constexpr auto never_stop = [](const agent_pair&, bool) {
+  return false;
+};
+
 /// The contract shared by all engines; measurement harnesses
 /// (pp/convergence.hpp) are templated over it.
 template <class E>
@@ -114,27 +124,45 @@ concept simulation_engine =
       // True only when the engine can *prove* no future interaction will
       // change any state (sufficient, not necessary, for silence).
       { ce.quiescent() } -> std::convertible_to<bool>;
-      {
-        e.run(budget, [](const agent_pair&) {},
-              [](const agent_pair&, bool) { return false; })
-      } -> std::same_as<bool>;
+      { e.run(budget, ignore_pair, never_stop) } -> std::same_as<bool>;
     };
 
-/// The reference engine: per-interaction stepping, identical RNG stream and
-/// trajectory to simulation<P>.
-template <population_protocol P>
+/// A scheduler the direct engine can step: sample(rng) draws the next
+/// ordered pair, size() is the population it draws from.
+template <class S>
+concept pair_sampler = requires(const S s, rng_t& rng) {
+  { s.size() } -> std::convertible_to<std::uint32_t>;
+  { s.sample(rng) } -> std::same_as<agent_pair>;
+};
+
+/// The reference engine: per-interaction stepping, one sampler draw and one
+/// transition call per interaction.  This is the only per-interaction loop
+/// for both the uniform scheduler and interaction graphs.
+template <population_protocol P, pair_sampler Pairs = uniform_pairs>
 class direct_engine {
  public:
   using protocol_type = P;
   using agent_state = typename P::agent_state;
 
+  /// Under the uniform scheduler.
   direct_engine(P protocol, std::vector<agent_state> initial,
                 std::uint64_t seed)
+    requires std::same_as<Pairs, uniform_pairs>
       : protocol_(std::move(protocol)),
         agents_(std::move(initial)),
-        rng_(seed) {
-    SSR_REQUIRE(agents_.size() == protocol_.population_size());
-    SSR_REQUIRE(agents_.size() >= 2);
+        rng_(seed),
+        pairs_{protocol_.population_size()} {
+    check_sizes();
+  }
+
+  /// Under the scheduler `pairs` (e.g. an interaction_graph).
+  direct_engine(P protocol, std::vector<agent_state> initial,
+                std::uint64_t seed, Pairs pairs)
+      : protocol_(std::move(protocol)),
+        agents_(std::move(initial)),
+        rng_(seed),
+        pairs_(std::move(pairs)) {
+    check_sizes();
   }
 
   template <class Pre, class Post>
@@ -174,16 +202,29 @@ class direct_engine {
   bool quiescent() const { return false; }  // no structural knowledge
 
   std::span<const agent_state> agents() const { return agents_; }
+  /// Mutable access supports fault injection (transient-fault experiments
+  /// corrupt states mid-run) -- this models the adversary, not the protocol.
   std::span<agent_state> mutable_agents() { return agents_; }
   const P& protocol() const { return protocol_; }
   rng_t& rng() { return rng_; }
 
  private:
+  void check_sizes() const {
+    SSR_REQUIRE(agents_.size() == protocol_.population_size());
+    SSR_REQUIRE(pairs_.size() == protocol_.population_size());
+    SSR_REQUIRE(agents_.size() >= 2);
+  }
+
   template <class Pre, class Post>
   bool run_loop(std::uint64_t max_interactions, Pre&& pre, Post&& post) {
-    const std::uint32_t n = population_size();
+    // A trivially copyable sampler (uniform_pairs) is copied so n stays in
+    // a register: the compiler cannot prove the transition leaves the
+    // member alone.  A graph is read in place.
+    std::conditional_t<std::is_trivially_copyable_v<Pairs>, const Pairs,
+                       const Pairs&>
+        pairs = pairs_;
     while (interactions_ < max_interactions) {
-      const agent_pair pair = sample_pair(rng_, n);
+      const agent_pair pair = pairs.sample(rng_);
       pre(pair);
       const bool changed = protocol_.interact(agents_[pair.initiator],
                                               agents_[pair.responder], rng_);
@@ -200,6 +241,7 @@ class direct_engine {
   P protocol_;
   std::vector<agent_state> agents_;
   rng_t rng_;
+  Pairs pairs_;
   std::uint64_t interactions_ = 0;
   obs::engine_counters* counters_ = nullptr;
   obs::timeline_profiler* profiler_ = nullptr;

@@ -12,6 +12,7 @@
 #include <concepts>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "pp/assert.hpp"
@@ -86,6 +87,42 @@ bool is_valid_ranking(const P& p,
     const std::uint32_t r = p.rank_of(s);
     if (r < 1 || r > n || seen[r]) return false;
     seen[r] = true;
+  }
+  return true;
+}
+
+/// True iff no ordered pair the scheduler can draw has a non-null
+/// transition, i.e. the configuration is silent (Section 2, "Silent
+/// protocols").  `edges` lists the undirected edges of a non-complete
+/// interaction graph, each probed in both orientations; empty means the
+/// complete graph, where every ordered pair of distinct agents is probed.
+/// A configuration may be silent on a sparse graph while the same multiset
+/// of states is not silent on the complete graph -- the root cause of the
+/// livelocks tests/topology_test.cpp demonstrates.  O(n^2) probes on the
+/// complete graph; intended for tests and small n.  Transitions run on
+/// copies, so the configuration is not disturbed.
+template <population_protocol P>
+bool is_silent_configuration(
+    const P& p, std::span<const typename P::agent_state> config,
+    std::span<const std::pair<std::uint32_t, std::uint32_t>> edges = {}) {
+  P probe = p;
+  rng_t probe_rng(0xdeadbeef);
+  const auto changes = [&](std::uint32_t i, std::uint32_t j) {
+    typename P::agent_state a = config[i];
+    typename P::agent_state b = config[j];
+    return probe.interact(a, b, probe_rng);
+  };
+  if (edges.empty()) {
+    const auto n = static_cast<std::uint32_t>(config.size());
+    for (std::uint32_t i = 0; i < n; ++i) {
+      for (std::uint32_t j = 0; j < n; ++j) {
+        if (i != j && changes(i, j)) return false;
+      }
+    }
+    return true;
+  }
+  for (const auto& [u, v] : edges) {
+    if (changes(u, v) || changes(v, u)) return false;
   }
   return true;
 }

@@ -25,4 +25,14 @@ struct agent_pair {
 /// size n (n >= 2).
 agent_pair sample_pair(rng_t& rng, std::uint32_t n);
 
+/// The uniform scheduler as a pair sampler (the default sampler of
+/// direct_engine; interaction_graph in pp/graph.hpp is the other): every
+/// ordered pair of distinct agents is equally likely.
+struct uniform_pairs {
+  std::uint32_t n;
+
+  std::uint32_t size() const { return n; }
+  agent_pair sample(rng_t& rng) const { return sample_pair(rng, n); }
+};
+
 }  // namespace ssr

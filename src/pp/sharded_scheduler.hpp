@@ -216,9 +216,7 @@ class sharded_engine {
   /// trajectory bit for bit.
   bool run_parallel(std::uint64_t max_interactions) {
     if (delegate_) {
-      return delegate_->run(
-          max_interactions, [](const agent_pair&) {},
-          [](const agent_pair&, bool) { return false; });
+      return delegate_->run(max_interactions, ignore_pair, never_stop);
     }
     if (profiler_ == nullptr) return run_parallel_loop(max_interactions);
     obs::timeline_scope section(profiler_, "engine.run");
@@ -342,8 +340,7 @@ class sharded_engine {
           obs::engine_counters local;
           std::uint64_t scratch = 0;
           run_task(
-              task, rng, proto, local, &scratch, [](const agent_pair&) {},
-              [](const agent_pair&, bool) { return false; });
+              task, rng, proto, local, &scratch, ignore_pair, never_stop);
           shared_->absorb(local);
         });
       }

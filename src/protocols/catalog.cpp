@@ -88,7 +88,7 @@ double unique_leader_time(
           const std::uint64_t budget =
               std::min(max_interactions, engine.interactions() + burst);
           const bool done = engine.run(
-              budget, [](const agent_pair&) {},
+              budget, ignore_pair,
               [&](const agent_pair&, bool changed) {
                 return changed && protocol.leader_count(engine.agents()) == 1;
               });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <type_traits>
 
 #include "protocols/catalog.hpp"
@@ -19,8 +20,8 @@ bool contains(std::span<const std::string_view> names, std::string_view v) {
 /// Shortest round-trip double formatting (matches the JSON writer's
 /// behavior for integral values: no trailing ".0" noise in fingerprints).
 std::string format_double(double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      v >= -9.007199254740992e15 && v <= 9.007199254740992e15) {
+  if (v >= -9.007199254740992e15 && v <= 9.007199254740992e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
     return std::to_string(static_cast<long long>(v));
   }
   char buf[32];
@@ -64,6 +65,14 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) {
     if (c < '0' || c > '9') return std::nullopt;
     value = value * 10 + static_cast<std::uint64_t>(c - '0');
   }
+  return value;
+}
+
+std::optional<double> parse_double(std::string_view text) {
+  const std::string copy(text);
+  char* end = nullptr;
+  const double value = std::strtod(copy.c_str(), &end);
+  if (copy.empty() || end != copy.c_str() + copy.size()) return std::nullopt;
   return value;
 }
 
@@ -182,17 +191,15 @@ void spec_builder::set_u64_text(std::string_view field,
 }
 
 void spec_builder::set_max_time_text(std::string_view text) {
-  char* end = nullptr;
-  const std::string copy(text);
-  const double value = std::strtod(copy.c_str(), &end);
-  if (copy.empty() || end != copy.c_str() + copy.size()) {
+  const std::optional<double> value = parse_double(text);
+  if (!value) {
     std::string message = "expected a number, got '";
     message += text;
     message += "'";
     syntax_errors_.push_back({"max_time", std::move(message)});
     return;
   }
-  set_max_time(value);
+  set_max_time(*value);
 }
 
 namespace {
@@ -284,8 +291,15 @@ std::vector<spec_error> spec_builder::finalize() {
     errors.push_back({"n", "population size must be at least 2"});
   if (spec_.trials == 0)
     errors.push_back({"trials", "trial count must be positive"});
-  if (!(spec_.max_time > 0.0))
+  // Engines count interactions in 64 bits, and max_time * n of them must
+  // be representable (casting a larger double is undefined behaviour).
+  if (!(spec_.max_time > 0.0)) {
     errors.push_back({"max_time", "parallel-time budget must be positive"});
+  } else if (!(spec_.max_time * static_cast<double>(spec_.n) < 0x1p64)) {
+    errors.push_back({"max_time",
+                      "parallel-time budget must be finite, with max_time * "
+                      "n below 2^64 interactions"});
+  }
   if (entry != nullptr && entry->uses_h && spec_.h == 0) {
     errors.push_back(
         {"h", std::string(entry->name) + " history depth must be at least 1"});

@@ -186,6 +186,11 @@ class telemetry_builder {
 /// checking beyond 64 bits); nullopt on anything else.
 std::optional<std::uint64_t> parse_u64(std::string_view text);
 
+/// Strict floating-point parse: the whole text must be one strtod number;
+/// nullopt on anything else.  "inf" and "nan" parse -- range checks belong
+/// to the caller.
+std::optional<double> parse_double(std::string_view text);
+
 /// Shared diagnostics (also used for flags outside the spec, e.g. unknown
 /// bench arguments): "unknown <what> '<given>' (did you mean <near>?)",
 /// with the suggestion clause dropped when nothing is close.

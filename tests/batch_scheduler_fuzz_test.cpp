@@ -105,8 +105,7 @@ TEST(BatchSchedulerFuzz, BlockEngineHitsInteractionBudgetsExactly) {
   };
   for (const std::uint64_t budget : {1ull, 2ull, 255ull, 256ull, 257ull,
                                      1000ull, 1003ull, 5000ull}) {
-    const bool stopped =
-        eng.run(budget, [](const agent_pair&) {}, count_post);
+    const bool stopped = eng.run(budget, ignore_pair, count_post);
     EXPECT_FALSE(stopped);
     EXPECT_EQ(eng.interactions(), budget);
     // Every interaction in the block path is surfaced to the hooks.

@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "protocols/silent_n_state.hpp"
 
 namespace ssr {
@@ -52,18 +53,20 @@ TEST(ContinuousTime, ConcentratesAroundParallelTime) {
 TEST(ContinuousTime, StabilizationTimesAgreeAcrossSemantics) {
   const std::uint32_t n = 32;
   silent_n_state_ssr p(n);
-  simulation<silent_n_state_ssr> sim(
+  direct_engine<silent_n_state_ssr> eng(
       p, std::vector<silent_n_state_ssr::agent_state>(n), 7);
   poisson_clock clock(n);
   rng_t clock_rng(8);
-  while (!is_valid_ranking(sim.protocol(), sim.agents())) {
-    sim.step();
-    clock.tick(clock_rng);
-  }
-  const double discrete = sim.parallel_time();
+  eng.run(
+      std::numeric_limits<std::uint64_t>::max(),
+      [&](const agent_pair&) { clock.tick(clock_rng); },
+      [&](const agent_pair&, bool changed) {
+        return changed && is_valid_ranking(p, eng.agents());
+      });
+  const double discrete = eng.parallel_time();
   const double continuous = clock.now();
   const double sigma =
-      std::sqrt(static_cast<double>(sim.interactions())) / n;
+      std::sqrt(static_cast<double>(eng.interactions())) / n;
   EXPECT_NEAR(continuous, discrete, 6 * sigma + 1e-9);
 }
 

@@ -5,20 +5,21 @@
 //     count and scheduling order cannot leak into results) -- for the
 //     legacy overload and for the engine-selecting overload under both
 //     engines;
-//   * simulation<P>::step trajectories replay exactly from a recorded seed;
-//   * direct_engine<P> consumes the RNG stream identically to simulation<P>,
-//     the contract that keeps every seed-pinned historical result valid
-//     under the engine-concept refactor;
+//   * direct_engine<P> trajectories replay exactly from a recorded seed;
+//   * direct_engine<P> reproduces a recorded trajectory of the historical
+//     per-step simulator (tests/data/determinism), the contract that keeps
+//     every seed-pinned historical result valid;
 //   * splitting one run into several run() calls (cancellation bursts, CLI
 //     checkpoints) follows the unsplit trajectory on both batched paths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "pp/convergence.hpp"
 #include "pp/engine.hpp"
-#include "pp/simulation.hpp"
 #include "pp/trial.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
@@ -72,41 +73,50 @@ TEST(Determinism, SimulationStepReplaysExactly) {
   const std::uint64_t seed = 4242;
 
   // First run: record configuration snapshots along the trajectory.
-  simulation<optimal_silent_ssr> first(p, initial, seed);
+  direct_engine<optimal_silent_ssr> first(p, initial, seed);
   std::vector<std::string> snapshots;
-  for (int chunk = 0; chunk < 10; ++chunk) {
-    for (int i = 0; i < 200; ++i) first.step();
+  for (std::uint64_t chunk = 1; chunk <= 10; ++chunk) {
+    first.run(chunk * 200, ignore_pair, never_stop);
     snapshots.push_back(to_text(p, first.agents()));
   }
 
-  // Replay from the same recorded seed: every snapshot must match bit for
-  // bit.
-  simulation<optimal_silent_ssr> replay(p, initial, seed);
-  for (int chunk = 0; chunk < 10; ++chunk) {
-    for (int i = 0; i < 200; ++i) replay.step();
-    EXPECT_EQ(snapshots[static_cast<std::size_t>(chunk)],
-              to_text(p, replay.agents()))
+  // Replay from the same recorded seed, one interaction per run() call:
+  // every snapshot must match bit for bit.
+  direct_engine<optimal_silent_ssr> replay(p, initial, seed);
+  for (std::size_t chunk = 0; chunk < 10; ++chunk) {
+    for (int i = 0; i < 200; ++i)
+      replay.run(replay.interactions() + 1, ignore_pair, never_stop);
+    EXPECT_EQ(snapshots[chunk], to_text(p, replay.agents()))
         << "diverged by interaction " << (chunk + 1) * 200;
   }
 }
 
 TEST(Determinism, DirectEngineMatchesSimulationTrajectory) {
+  // The golden holds the configurations the historical per-step simulator
+  // reached from this start and seed after 250, 500, ..., 2000
+  // interactions, one serialized configuration each.
   const std::uint32_t n = 32;
   silent_n_state_ssr p(n);
   rng_t config_rng(11);
   const auto initial = adversarial_configuration(p, config_rng);
-  const std::uint64_t seed = 31337;
+  std::ifstream golden(std::string(SSR_TEST_DATA_DIR) +
+                       "/determinism/baseline_n32_seed31337.txt");
+  ASSERT_TRUE(golden) << "missing trajectory golden";
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(golden, line);) {
+    if (line.rfind("ssr-config", 0) == 0) expected.emplace_back();
+    ASSERT_FALSE(expected.empty());
+    expected.back() += line + '\n';
+  }
+  ASSERT_EQ(expected.size(), 8u);
 
-  simulation<silent_n_state_ssr> sim(p, initial, seed);
-  direct_engine<silent_n_state_ssr> eng(p, initial, seed);
-  for (int chunk = 0; chunk < 8; ++chunk) {
-    for (int i = 0; i < 250; ++i) sim.step();
-    eng.run(sim.interactions(), [](const agent_pair&) {},
-            [](const agent_pair&, bool) { return false; });
-    ASSERT_EQ(eng.interactions(), sim.interactions());
-    EXPECT_EQ(to_text(p, sim.agents()), to_text(p, eng.agents()))
-        << "direct_engine diverged from simulation<P> by interaction "
-        << sim.interactions();
+  direct_engine<silent_n_state_ssr> eng(p, initial, 31337);
+  for (std::uint64_t chunk = 1; chunk <= 8; ++chunk) {
+    eng.run(chunk * 250, ignore_pair, never_stop);
+    EXPECT_EQ(expected[chunk - 1], to_text(p, eng.agents()))
+        << "direct_engine diverged from the recorded trajectory by "
+           "interaction "
+        << eng.interactions();
   }
 }
 
@@ -117,13 +127,12 @@ template <class Engine, class P>
 void expect_split_run_matches(const P& protocol,
                               const std::vector<typename P::agent_state>& initial,
                               std::uint64_t chunk, std::uint64_t total) {
-  const auto no_pre = [](const agent_pair&) {};
-  const auto no_stop = [](const agent_pair&, bool) { return false; };
   Engine whole(protocol, initial, 4242);
-  whole.run(total, no_pre, no_stop);
+  whole.run(total, ignore_pair, never_stop);
   Engine split(protocol, initial, 4242);
   while (split.interactions() < total) {
-    split.run(std::min(total, split.interactions() + chunk), no_pre, no_stop);
+    split.run(std::min(total, split.interactions() + chunk), ignore_pair,
+              never_stop);
   }
   ASSERT_EQ(whole.interactions(), split.interactions());
   EXPECT_EQ(to_text(protocol, whole.agents()),

@@ -136,7 +136,7 @@ std::vector<double> loose_sample(engine_spec spec, std::uint64_t base,
         loose_stabilizing_le p(n, t_max);
         return drive_loose(spec, p, s, [&](auto& eng) -> double {
           const auto done = eng.run(
-              std::uint64_t{200'000} * n, [](const agent_pair&) {},
+              std::uint64_t{200'000} * n, ignore_pair,
               [&](const agent_pair&, bool changed) {
                 return changed && p.leader_count(eng.agents()) == 1;
               });
@@ -160,9 +160,7 @@ std::vector<double> loose_leader_counts(engine_spec spec, std::uint64_t base,
       [=](std::uint64_t s, engine_kind) -> double {
         loose_stabilizing_le p(n, t_max);
         return drive_loose(spec, p, s, [&](auto& eng) -> double {
-          eng.run(
-              std::uint64_t{8} * n, [](const agent_pair&) {},
-              [](const agent_pair&, bool) { return false; });
+          eng.run(std::uint64_t{8} * n, ignore_pair, never_stop);
           return static_cast<double>(p.leader_count(eng.agents()));
         });
       },

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "pp/convergence.hpp"
+#include "pp/engine.hpp"
 #include "pp/random.hpp"
-#include "pp/simulation.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
 #include "protocols/silent_n_state.hpp"
@@ -15,26 +15,31 @@
 namespace ssr {
 namespace {
 
+/// Runs `eng` until its ranking is valid, for at most `budget` more
+/// interactions; true iff it got there.
+template <class Engine>
+bool recover(Engine& eng, std::uint64_t budget) {
+  const double limit = static_cast<double>(eng.interactions() + budget) /
+                       eng.population_size();
+  return measure_convergence_run(eng, {.max_parallel_time = limit}).converged;
+}
+
 TEST(FaultInjection, BaselineRecoversFromRankCorruption) {
   const std::uint32_t n = 16;
   silent_n_state_ssr p(n);
   std::vector<silent_n_state_ssr::agent_state> config(n);
   for (std::uint32_t i = 0; i < n; ++i) config[i].rank = i;
 
-  simulation<silent_n_state_ssr> sim(p, std::move(config), 21);
+  direct_engine<silent_n_state_ssr> eng(p, std::move(config), 21);
   rng_t faults(99);
   for (int round = 0; round < 3; ++round) {
     // Corrupt 5 agents' memories.
     for (int k = 0; k < 5; ++k) {
       const auto victim = uniform_below(faults, n);
-      sim.mutable_agents()[victim].rank =
+      eng.mutable_agents()[victim].rank =
           static_cast<std::uint32_t>(uniform_below(faults, n));
     }
-    const bool recovered = sim.run_until(
-        [](const simulation<silent_n_state_ssr>& s) {
-          return is_valid_ranking(s.protocol(), s.agents());
-        },
-        sim.interactions() + 10'000'000ull);
+    const bool recovered = recover(eng, 10'000'000ull);
     ASSERT_TRUE(recovered) << "round " << round;
   }
 }
@@ -46,22 +51,18 @@ TEST(FaultInjection, OptimalSilentRecoversFromLeaderLoss) {
   auto config =
       adversarial_configuration(p, optimal_silent_scenario::valid_ranking, rng);
 
-  simulation<optimal_silent_ssr> sim(p, std::move(config), 31);
+  direct_engine<optimal_silent_ssr> eng(p, std::move(config), 31);
   // Kill the leader: overwrite the rank-1 agent with a duplicate of rank 2.
-  for (auto& s : sim.mutable_agents()) {
+  for (auto& s : eng.mutable_agents()) {
     if (s.rank == 1) {
       s.rank = 2;
       break;
     }
   }
-  EXPECT_FALSE(is_valid_ranking(p, sim.agents()));
-  const bool recovered = sim.run_until(
-      [](const simulation<optimal_silent_ssr>& s) {
-        return is_valid_ranking(s.protocol(), s.agents());
-      },
-      50'000'000ull);
+  EXPECT_FALSE(is_valid_ranking(p, eng.agents()));
+  const bool recovered = recover(eng, 50'000'000ull);
   ASSERT_TRUE(recovered);
-  EXPECT_EQ(leader_count(p, sim.agents()), 1u);
+  EXPECT_EQ(leader_count(p, eng.agents()), 1u);
 }
 
 TEST(FaultInjection, OptimalSilentRecoversFromRepeatedBursts) {
@@ -70,20 +71,16 @@ TEST(FaultInjection, OptimalSilentRecoversFromRepeatedBursts) {
   rng_t scenario_rng(6);
   auto config = adversarial_configuration(
       p, optimal_silent_scenario::valid_ranking, scenario_rng);
-  simulation<optimal_silent_ssr> sim(p, std::move(config), 41);
+  direct_engine<optimal_silent_ssr> eng(p, std::move(config), 41);
 
   rng_t faults(123);
   for (int burst = 0; burst < 3; ++burst) {
     for (int k = 0; k < 4; ++k) {
-      auto& victim = sim.mutable_agents()[uniform_below(faults, n)];
+      auto& victim = eng.mutable_agents()[uniform_below(faults, n)];
       victim = adversarial_configuration(
           p, optimal_silent_scenario::uniform_random, faults)[0];
     }
-    const bool recovered = sim.run_until(
-        [](const simulation<optimal_silent_ssr>& s) {
-          return is_valid_ranking(s.protocol(), s.agents());
-        },
-        sim.interactions() + 50'000'000ull);
+    const bool recovered = recover(eng, 50'000'000ull);
     ASSERT_TRUE(recovered) << "burst " << burst;
   }
 }
@@ -94,15 +91,11 @@ TEST(FaultInjection, SublinearRecoversFromNameDuplication) {
   rng_t rng(7);
   auto config =
       adversarial_configuration(p, sublinear_scenario::valid_ranking, rng);
-  simulation<sublinear_time_ssr> sim(p, std::move(config), 51);
+  direct_engine<sublinear_time_ssr> eng(p, std::move(config), 51);
   // Duplicate agent 0's identity into agent 1 (name, roster, rank).
-  sim.mutable_agents()[1] = sim.agents()[0];
-  EXPECT_FALSE(is_valid_ranking(p, sim.agents()));
-  const bool recovered = sim.run_until(
-      [](const simulation<sublinear_time_ssr>& s) {
-        return is_valid_ranking(s.protocol(), s.agents());
-      },
-      20'000'000ull);
+  eng.mutable_agents()[1] = eng.agents()[0];
+  EXPECT_FALSE(is_valid_ranking(p, eng.agents()));
+  const bool recovered = recover(eng, 20'000'000ull);
   ASSERT_TRUE(recovered);
 }
 

@@ -7,9 +7,8 @@
 
 #include "analysis/ks_test.hpp"
 #include "pp/convergence.hpp"
+#include "pp/engine.hpp"
 #include "pp/trial.hpp"
-
-#include "pp/graph_simulation.hpp"
 #include "protocols/silent_n_state.hpp"
 
 namespace ssr {
@@ -112,16 +111,14 @@ TEST(GraphSimulation, MatchesCompleteGraphSemantics) {
   // On the complete graph, the baseline stabilizes as usual.
   const std::uint32_t n = 8;
   silent_n_state_ssr p(n);
-  graph_simulation<silent_n_state_ssr> sim(
-      p, interaction_graph::complete(n),
-      std::vector<silent_n_state_ssr::agent_state>(n), 3);
-  const bool done = sim.run_until(
-      [](const graph_simulation<silent_n_state_ssr>& s) {
-        return is_valid_ranking(s.protocol(), s.agents());
-      },
-      10'000'000ull);
+  const interaction_graph g = interaction_graph::complete(n);
+  direct_engine<silent_n_state_ssr, interaction_graph> eng(
+      p, std::vector<silent_n_state_ssr::agent_state>(n), 3, g);
+  const bool done =
+      measure_convergence_run(eng, {.max_parallel_time = 10'000'000.0 / n})
+          .converged;
   EXPECT_TRUE(done);
-  EXPECT_TRUE(sim.is_silent_configuration());
+  EXPECT_TRUE(is_silent_configuration(p, eng.agents(), g.edges()));
 }
 
 TEST(GraphSimulation, CompleteGraphSchedulerMatchesPairScheduler) {
@@ -133,16 +130,11 @@ TEST(GraphSimulation, CompleteGraphSchedulerMatchesPairScheduler) {
     std::vector<silent_n_state_ssr::agent_state> init(n);
     return measure_convergence(p, init, seed).convergence_time;
   });
+  const interaction_graph g = interaction_graph::complete(n);
   const auto edge_sched = run_trials(300, 62000, [&](std::uint64_t seed) {
-    graph_simulation<silent_n_state_ssr> sim(
-        p, interaction_graph::complete(n),
-        std::vector<silent_n_state_ssr::agent_state>(n), seed);
-    sim.run_until(
-        [](const graph_simulation<silent_n_state_ssr>& s) {
-          return is_valid_ranking(s.protocol(), s.agents());
-        },
-        100'000'000ull);
-    return sim.parallel_time();
+    direct_engine<silent_n_state_ssr, interaction_graph> eng(
+        p, std::vector<silent_n_state_ssr::agent_state>(n), seed, g);
+    return measure_convergence_run(eng).convergence_time;
   });
   const auto ks = ks_two_sample(pair_sched, edge_sched);
   EXPECT_GT(ks.p_value, 0.001) << "KS statistic " << ks.statistic;
@@ -150,9 +142,15 @@ TEST(GraphSimulation, CompleteGraphSchedulerMatchesPairScheduler) {
 
 TEST(GraphSimulation, RejectsSizeMismatch) {
   silent_n_state_ssr p(8);
-  EXPECT_THROW(graph_simulation<silent_n_state_ssr>(
-                   p, interaction_graph::ring(6),
-                   std::vector<silent_n_state_ssr::agent_state>(8), 1),
+  // A configuration of the graph's size but not the protocol's...
+  EXPECT_THROW((direct_engine<silent_n_state_ssr, interaction_graph>(
+                   p, std::vector<silent_n_state_ssr::agent_state>(6), 1,
+                   interaction_graph::ring(6))),
+               std::logic_error);
+  // ...and a graph of the wrong size.
+  EXPECT_THROW((direct_engine<silent_n_state_ssr, interaction_graph>(
+                   p, std::vector<silent_n_state_ssr::agent_state>(8), 1,
+                   interaction_graph::ring(6))),
                std::logic_error);
 }
 

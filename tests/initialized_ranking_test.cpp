@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "pp/convergence.hpp"
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "verify/reachability.hpp"
 
 namespace ssr {
@@ -28,8 +28,7 @@ TEST(InitializedRanking, SilentOnceRanked) {
   const auto r =
       measure_convergence(p, p.initial_configuration(), 7, {}, &final_config);
   ASSERT_TRUE(r.converged);
-  simulation<initialized_tree_ranking> sim(p, final_config, 1);
-  EXPECT_TRUE(sim.is_silent_configuration());
+  EXPECT_TRUE(is_silent_configuration(p, final_config));
 }
 
 TEST(InitializedRanking, LinearTime) {
@@ -70,10 +69,10 @@ TEST(InitializedRanking, AllUnsettledDeadlocks) {
   const std::uint32_t n = 8;
   initialized_tree_ranking p(n);
   std::vector<initialized_tree_ranking::agent_state> config(n);  // no root
-  simulation<initialized_tree_ranking> sim(p, config, 3);
-  EXPECT_TRUE(sim.is_silent_configuration());
-  for (int i = 0; i < 10000; ++i) sim.step();
-  EXPECT_FALSE(is_valid_ranking(p, sim.agents()));
+  EXPECT_TRUE(is_silent_configuration(p, config));
+  direct_engine<initialized_tree_ranking> eng(p, config, 3);
+  eng.run(10000, ignore_pair, never_stop);
+  EXPECT_FALSE(is_valid_ranking(p, eng.agents()));
 }
 
 }  // namespace

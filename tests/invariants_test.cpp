@@ -139,10 +139,10 @@ TEST(Invariants, SublinearCleanRunsNeverRevokeRanking) {
 // accounting across engines (direct simulation vs measured convergence).
 TEST(Invariants, ParallelTimeAccounting) {
   silent_n_state_ssr p(10);
-  simulation<silent_n_state_ssr> sim(
+  direct_engine<silent_n_state_ssr> eng(
       p, std::vector<silent_n_state_ssr::agent_state>(10), 1);
-  for (int i = 0; i < 1000; ++i) sim.step();
-  EXPECT_DOUBLE_EQ(sim.parallel_time(), 100.0);
+  eng.run(1000, ignore_pair, never_stop);
+  EXPECT_DOUBLE_EQ(eng.parallel_time(), 100.0);
 }
 
 // The roll call can only complete for everyone after it has completed for

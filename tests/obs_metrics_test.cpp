@@ -297,7 +297,7 @@ TEST(ObsMetrics, DirectEngineCounterInvariant) {
 
   std::uint64_t post_calls = 0;
   const std::uint64_t budget = 5000;
-  eng.run(budget, [](const agent_pair&) {},
+  eng.run(budget, ignore_pair,
           [&](const agent_pair&, bool) {
             ++post_calls;
             return false;
@@ -318,10 +318,8 @@ TEST(ObsMetrics, CountersAccumulateAcrossRuns) {
   batched_engine<silent_n_state_ssr> eng(p, std::move(init), 4);
   engine_counters c;
   eng.attach_counters(&c);
-  eng.run(1000, [](const agent_pair&) {},
-          [](const agent_pair&, bool) { return false; });
-  eng.run(2000, [](const agent_pair&) {},
-          [](const agent_pair&, bool) { return false; });
+  eng.run(1000, ignore_pair, never_stop);
+  eng.run(2000, ignore_pair, never_stop);
   EXPECT_EQ(c.interactions_executed + c.certain_nulls_skipped, 2000u);
 }
 

@@ -38,8 +38,7 @@ double seconds_for_run(obs::engine_counters* counters) {
   direct_engine<optimal_silent_ssr> eng(p, std::move(init), 18);
   eng.attach_counters(counters);
   const auto start = std::chrono::steady_clock::now();
-  eng.run(400'000, [](const agent_pair&) {},
-          [](const agent_pair&, bool) { return false; });
+  eng.run(400'000, ignore_pair, never_stop);
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,47 @@ TEST(RequestSpec, BadMaxTimeTextIsAFieldError) {
   ASSERT_GE(errors.size(), 1u);
   EXPECT_EQ(errors[0].field, "max_time");
   EXPECT_EQ(errors[0].message, "expected a number, got 'fast'");
+}
+
+TEST(RequestSpec, MaxTimeBeyondTheInteractionCounterIsAFieldError) {
+  const spec_error overflow{"max_time",
+                            "parallel-time budget must be finite, with "
+                            "max_time * n below 2^64 interactions"};
+  for (const double max_time :
+       {std::numeric_limits<double>::infinity(), 1e300, 1e19}) {
+    spec_builder builder;
+    builder.set_n(24);
+    builder.set_max_time(max_time);
+    EXPECT_EQ(builder.finalize(), std::vector<spec_error>{overflow})
+        << "max_time " << max_time;
+  }
+  // The bound is on max_time * n: 7e17 fits for n = 24 but not n = 32.
+  spec_builder fits;
+  fits.set_n(24);
+  fits.set_max_time(7e17);
+  EXPECT_TRUE(fits.finalize().empty());
+  spec_builder too_many;
+  too_many.set_n(32);
+  too_many.set_max_time(7e17);
+  EXPECT_EQ(too_many.finalize(), std::vector<spec_error>{overflow});
+  // Text spellings of non-finite values parse, then fail the same check.
+  spec_builder text;
+  text.set_max_time_text("inf");
+  EXPECT_EQ(text.finalize(), std::vector<spec_error>{overflow});
+  spec_builder nan;
+  nan.set_max_time_text("nan");
+  EXPECT_EQ(nan.finalize(),
+            (std::vector<spec_error>{
+                {"max_time", "parallel-time budget must be positive"}}));
+}
+
+TEST(RequestSpec, ParseDoubleIsStrict) {
+  EXPECT_EQ(parse_double("2.5"), 2.5);
+  EXPECT_EQ(parse_double("1e3"), 1000.0);
+  EXPECT_EQ(parse_double(""), std::nullopt);
+  EXPECT_EQ(parse_double("abc"), std::nullopt);
+  EXPECT_EQ(parse_double("1.5x"), std::nullopt);
+  EXPECT_EQ(parse_double("1 "), std::nullopt);
 }
 
 TEST(RequestSpec, FinalizeIsIdempotent) {

@@ -168,9 +168,7 @@ TEST(ShardedSchedulerFuzz, SequentialMatchesParallelBitIdentical) {
     sharded_engine<mix_protocol> seq(p, mix_init(n), seed, {.shards = shards});
     obs::engine_counters seq_counters;
     seq.attach_counters(&seq_counters);
-    seq.run(
-        budget, [](const agent_pair&) {},
-        [](const agent_pair&, bool) { return false; });
+    seq.run(budget, ignore_pair, never_stop);
 
     sharded_engine<mix_protocol> par(p, mix_init(n), seed, {.shards = shards});
     obs::engine_counters par_counters;
@@ -248,9 +246,7 @@ TEST(ShardedSchedulerFuzz, BudgetHitExactlyAcrossOddBudgets) {
   // here... n/2=25 -> 32): below, at, just above, and far beyond one round.
   for (const std::uint64_t budget : {1ull, 31ull, 32ull, 33ull, 1000ull}) {
     sharded_engine<mix_protocol> eng(p, mix_init(n), 3, {.shards = 4});
-    const bool stopped = eng.run(
-        budget, [](const agent_pair&) {},
-        [](const agent_pair&, bool) { return false; });
+    const bool stopped = eng.run(budget, ignore_pair, never_stop);
     EXPECT_FALSE(stopped);
     EXPECT_EQ(eng.interactions(), budget);
   }
@@ -262,7 +258,7 @@ TEST(ShardedSchedulerFuzz, PostStopHaltsMidRound) {
   sharded_engine<mix_protocol> eng(p, mix_init(n), 11, {.shards = 4});
   std::uint64_t seen = 0;
   const bool stopped = eng.run(
-      1'000'000, [](const agent_pair&) {},
+      1'000'000, ignore_pair,
       [&](const agent_pair&, bool) { return ++seen == 100; });
   EXPECT_TRUE(stopped);
   EXPECT_EQ(seen, 100u);

@@ -1,4 +1,6 @@
-#include "pp/simulation.hpp"
+// The direct engine under the uniform scheduler: interaction accounting,
+// hooks, budgets, silence detection and fault injection.
+#include "pp/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,49 +15,50 @@ std::vector<silent_n_state_ssr::agent_state> all_zero(std::uint32_t n) {
 
 TEST(Simulation, TracksInteractionsAndParallelTime) {
   silent_n_state_ssr protocol(10);
-  simulation<silent_n_state_ssr> sim(protocol, all_zero(10), 1);
-  for (int i = 0; i < 25; ++i) sim.step();
-  EXPECT_EQ(sim.interactions(), 25u);
-  EXPECT_DOUBLE_EQ(sim.parallel_time(), 2.5);
+  direct_engine<silent_n_state_ssr> eng(protocol, all_zero(10), 1);
+  eng.run(25, ignore_pair, never_stop);
+  EXPECT_EQ(eng.interactions(), 25u);
+  EXPECT_DOUBLE_EQ(eng.parallel_time(), 2.5);
 }
 
 TEST(Simulation, RejectsMismatchedConfigurationSize) {
   silent_n_state_ssr protocol(10);
-  EXPECT_THROW(simulation<silent_n_state_ssr>(protocol, all_zero(9), 1),
+  EXPECT_THROW(direct_engine<silent_n_state_ssr>(protocol, all_zero(9), 1),
                std::logic_error);
 }
 
 TEST(Simulation, DeterministicForSameSeed) {
   silent_n_state_ssr protocol(8);
-  simulation<silent_n_state_ssr> sim1(protocol, all_zero(8), 99);
-  simulation<silent_n_state_ssr> sim2(protocol, all_zero(8), 99);
-  for (int i = 0; i < 500; ++i) {
-    sim1.step();
-    sim2.step();
-  }
+  direct_engine<silent_n_state_ssr> eng1(protocol, all_zero(8), 99);
+  direct_engine<silent_n_state_ssr> eng2(protocol, all_zero(8), 99);
+  eng1.run(500, ignore_pair, never_stop);
+  for (std::uint64_t i = 1; i <= 500; ++i) eng2.run(i, ignore_pair, never_stop);
   for (std::uint32_t i = 0; i < 8; ++i)
-    EXPECT_EQ(sim1.agents()[i].rank, sim2.agents()[i].rank);
+    EXPECT_EQ(eng1.agents()[i].rank, eng2.agents()[i].rank);
 }
 
 TEST(Simulation, RunUntilStopsOnPredicate) {
   silent_n_state_ssr protocol(6);
-  simulation<silent_n_state_ssr> sim(protocol, all_zero(6), 3);
-  const bool stopped = sim.run_until(
-      [](const simulation<silent_n_state_ssr>& s) {
-        return is_valid_ranking(s.protocol(), s.agents());
-      },
-      1'000'000);
+  direct_engine<silent_n_state_ssr> eng(protocol, all_zero(6), 3);
+  std::uint64_t posts = 0;
+  const bool stopped =
+      eng.run(1'000'000, ignore_pair, [&](const agent_pair&, bool changed) {
+        ++posts;
+        return changed && is_valid_ranking(protocol, eng.agents());
+      });
   EXPECT_TRUE(stopped);
-  EXPECT_TRUE(is_valid_ranking(sim.protocol(), sim.agents()));
+  EXPECT_TRUE(is_valid_ranking(eng.protocol(), eng.agents()));
+  EXPECT_EQ(posts, eng.interactions());  // post sees every interaction
 }
 
 TEST(Simulation, RunUntilHonorsInteractionCap) {
   silent_n_state_ssr protocol(6);
-  simulation<silent_n_state_ssr> sim(protocol, all_zero(6), 3);
-  const bool stopped = sim.run_until(
-      [](const simulation<silent_n_state_ssr>&) { return false; }, 100);
-  EXPECT_FALSE(stopped);
-  EXPECT_EQ(sim.interactions(), 100u);
+  direct_engine<silent_n_state_ssr> eng(protocol, all_zero(6), 3);
+  EXPECT_FALSE(eng.run(100, ignore_pair, never_stop));
+  EXPECT_EQ(eng.interactions(), 100u);
+  // A budget at or below the count already reached executes nothing.
+  EXPECT_FALSE(eng.run(100, ignore_pair, never_stop));
+  EXPECT_EQ(eng.interactions(), 100u);
 }
 
 TEST(Simulation, SilenceDetection) {
@@ -63,20 +66,17 @@ TEST(Simulation, SilenceDetection) {
   // Distinct ranks: the unique silent configuration.
   std::vector<silent_n_state_ssr::agent_state> distinct(5);
   for (std::uint32_t i = 0; i < 5; ++i) distinct[i].rank = i;
-  simulation<silent_n_state_ssr> silent_sim(protocol, distinct, 1);
-  EXPECT_TRUE(silent_sim.is_silent_configuration());
-
-  simulation<silent_n_state_ssr> loud_sim(protocol, all_zero(5), 1);
-  EXPECT_FALSE(loud_sim.is_silent_configuration());
+  EXPECT_TRUE(is_silent_configuration(protocol, distinct));
+  EXPECT_FALSE(is_silent_configuration(protocol, all_zero(5)));
 }
 
 TEST(Simulation, FaultInjectionThroughMutableAgents) {
   silent_n_state_ssr protocol(5);
   std::vector<silent_n_state_ssr::agent_state> distinct(5);
   for (std::uint32_t i = 0; i < 5; ++i) distinct[i].rank = i;
-  simulation<silent_n_state_ssr> sim(protocol, distinct, 1);
-  sim.mutable_agents()[0].rank = 3;  // transient fault: duplicate rank 3
-  EXPECT_FALSE(sim.is_silent_configuration());
+  direct_engine<silent_n_state_ssr> eng(protocol, distinct, 1);
+  eng.mutable_agents()[0].rank = 3;  // transient fault: duplicate rank 3
+  EXPECT_FALSE(is_silent_configuration(protocol, eng.agents()));
 }
 
 TEST(ProtocolConcepts, ValidRankingPredicate) {

@@ -6,7 +6,7 @@
 
 #include "pp/convergence.hpp"
 #include "pp/scheduler.hpp"
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "protocols/adversary.hpp"
 
 namespace ssr {
@@ -226,11 +226,11 @@ TEST(Sublinear, NoFalsePositiveFromCleanConfiguration) {
     rng_t rng(41 * (h + 1));
     auto init = adversarial_configuration(
         p, sublinear_scenario::valid_ranking, rng);
-    simulation<sublinear_time_ssr> sim(p, std::move(init), 91 + h);
+    direct_engine<sublinear_time_ssr> eng(p, std::move(init), 91 + h);
     // Long run: any reset would destroy the ranking.
-    for (int step = 0; step < 20000; ++step) sim.step();
-    EXPECT_TRUE(is_valid_ranking(sim.protocol(), sim.agents())) << "h=" << h;
-    for (const auto& s : sim.agents())
+    eng.run(20000, ignore_pair, never_stop);
+    EXPECT_TRUE(is_valid_ranking(p, eng.agents())) << "h=" << h;
+    for (const auto& s : eng.agents())
       EXPECT_EQ(s.role, role_t::collecting) << "h=" << h;
   }
 }
@@ -241,11 +241,10 @@ TEST(Sublinear, TreeInvariantsHoldDuringExecution) {
   sublinear_time_ssr p(n, h);
   rng_t rng(5);
   auto init = p.initial_configuration(rng);
-  simulation<sublinear_time_ssr> sim(p, std::move(init), 55);
-  for (int step = 0; step < 3000; ++step) {
-    sim.step();
-    if (step % 500 != 0) continue;
-    for (const auto& s : sim.agents()) {
+  direct_engine<sublinear_time_ssr> eng(p, std::move(init), 55);
+  for (std::uint64_t checkpoint = 1; checkpoint < 3000; checkpoint += 500) {
+    eng.run(checkpoint, ignore_pair, never_stop);
+    for (const auto& s : eng.agents()) {
       if (s.role != role_t::collecting) continue;
       EXPECT_LE(s.tree.depth(), h);
       EXPECT_TRUE(s.tree.simply_labelled());

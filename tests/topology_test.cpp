@@ -6,7 +6,8 @@
 // that the complete graph verifies under the same machinery.
 #include <gtest/gtest.h>
 
-#include "pp/graph_simulation.hpp"
+#include "pp/convergence.hpp"
+#include "pp/engine.hpp"
 #include "protocols/silent_n_state.hpp"
 #include "verify/graph_reachability.hpp"
 
@@ -53,12 +54,12 @@ TEST(Topology, ExplicitRingLivelockIsSilent) {
   config[1].rank = 1;
   config[2].rank = 0;
   config[3].rank = 1;
-  graph_simulation<silent_n_state_ssr> sim(p, interaction_graph::ring(n),
-                                           config, 1);
-  EXPECT_TRUE(sim.is_silent_configuration());
-  EXPECT_FALSE(is_valid_ranking(p, sim.agents()));
-  for (int i = 0; i < 10000; ++i) sim.step();
-  EXPECT_FALSE(is_valid_ranking(p, sim.agents()));  // stuck forever
+  const interaction_graph ring = interaction_graph::ring(n);
+  EXPECT_TRUE(is_silent_configuration(p, config, ring.edges()));
+  EXPECT_FALSE(is_valid_ranking(p, config));
+  direct_engine<silent_n_state_ssr, interaction_graph> eng(p, config, 1, ring);
+  eng.run(10000, ignore_pair, never_stop);
+  EXPECT_FALSE(is_valid_ranking(p, eng.agents()));  // stuck forever
 }
 
 TEST(Topology, SameMultisetRecoversOnCompleteGraph) {
@@ -71,14 +72,13 @@ TEST(Topology, SameMultisetRecoversOnCompleteGraph) {
   config[1].rank = 1;
   config[2].rank = 0;
   config[3].rank = 1;
-  graph_simulation<silent_n_state_ssr> sim(p, interaction_graph::complete(n),
-                                           config, 1);
-  EXPECT_FALSE(sim.is_silent_configuration());
-  const bool done = sim.run_until(
-      [](const graph_simulation<silent_n_state_ssr>& s) {
-        return is_valid_ranking(s.protocol(), s.agents());
-      },
-      1'000'000ull);
+  const interaction_graph complete = interaction_graph::complete(n);
+  EXPECT_FALSE(is_silent_configuration(p, config, complete.edges()));
+  direct_engine<silent_n_state_ssr, interaction_graph> eng(p, config, 1,
+                                                           complete);
+  const bool done =
+      measure_convergence_run(eng, {.max_parallel_time = 1'000'000.0 / n})
+          .converged;
   EXPECT_TRUE(done);
 }
 
@@ -96,18 +96,17 @@ TEST(Topology, DenseRandomGraphsStillDeadlockFromCollisions) {
   int converged = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto g = interaction_graph::erdos_renyi(n, 0.8, seed);
-    graph_simulation<silent_n_state_ssr> sim(
-        p, g, std::vector<silent_n_state_ssr::agent_state>(n), seed);
-    const bool done = sim.run_until(
-        [](const graph_simulation<silent_n_state_ssr>& s) {
-          return is_valid_ranking(s.protocol(), s.agents());
-        },
-        5'000'000ull);
+    direct_engine<silent_n_state_ssr, interaction_graph> eng(
+        p, std::vector<silent_n_state_ssr::agent_state>(n), seed, g);
+    const bool done =
+        measure_convergence_run(eng, {.max_parallel_time = 5'000'000.0 / n})
+            .converged;
     if (done) {
       ++converged;
     } else {
-      EXPECT_TRUE(sim.is_silent_configuration()) << "seed " << seed;
-      EXPECT_FALSE(is_valid_ranking(p, sim.agents())) << "seed " << seed;
+      EXPECT_TRUE(is_silent_configuration(p, eng.agents(), g.edges()))
+          << "seed " << seed;
+      EXPECT_FALSE(is_valid_ranking(p, eng.agents())) << "seed " << seed;
     }
   }
   // Both outcomes occur, but deadlock dominates.

@@ -23,12 +23,13 @@
 //
 // --json writes a machine-readable run summary (verdict, parallel time,
 // engine counters); --trace-out writes the structured event stream
-// (obs/trace.hpp) as JSONL.  Every complete-graph run goes through the
-// engine --engine selects (pp/engine.hpp, with_engine), so tracing and
-// profiling attach to the run without changing it; the other topologies
-// run on graph_simulation and take neither.  The protocol, its scenarios
-// and its lint entries come from the protocol catalog
-// (protocols/catalog.hpp).
+// (obs/trace.hpp) as JSONL.  Every run goes through an engine: a
+// complete-graph run through the one --engine selects (pp/engine.hpp,
+// with_engine), a --graph=ring|star|path|gnp run through the direct engine
+// stepping that graph's edge sampler.  Both feed the same drive loop, so
+// tracing, profiling and the --json engine counters attach to any run
+// without changing it.  The protocol, its scenarios and its lint entries
+// come from the protocol catalog (protocols/catalog.hpp).
 // --engine=sharded runs the sharded engine's sequential hooked mode (the
 // CLI's summaries and verdict need per-interaction hooks); its threaded
 // run_parallel twin is exercised by bench_engine_scaling and the TSan test
@@ -60,7 +61,8 @@
 #include "obs/scenario.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
-#include "pp/graph_simulation.hpp"
+#include "pp/engine.hpp"
+#include "pp/graph.hpp"
 #include "protocols/catalog.hpp"
 #include "protocols/describe.hpp"
 #include "serve/request_context.hpp"
@@ -120,7 +122,8 @@ constexpr std::string_view cli_flags[] = {
       "  --t-max=<int>          loose timeout (default 4 log2 n)\n"
       "  --scenario=<name>      adversarial start (default uniform_random;\n"
       "                         see --list-scenarios)\n"
-      "  --graph=complete|ring|star|path|gnp   (baseline/optimal only)\n"
+      "  --graph=complete|ring|star|path|gnp   (not sublinear; a non-complete\n"
+      "                         graph runs on the direct engine)\n"
       "  --graph-p=<float>      edge probability for gnp (default 0.9)\n"
       "  --engine=direct|batched|sharded  simulation engine (default\n"
       "                         direct; batched and sharded assume the\n"
@@ -137,9 +140,8 @@ constexpr std::string_view cli_flags[] = {
       "                         protocols/serialize.hpp for the format)\n"
       "  --load=<file>          start from a saved configuration\n"
       "  --json=<file>          write a machine-readable run summary\n"
+      "                         (verdict, parallel time, engine counters)\n"
       "  --trace-out=<file>     write the structured event stream as JSONL\n"
-      "                         (requires --graph=complete; runs through the\n"
-      "                         selected engine)\n"
       "  --trace-sample-every=<k>  keep every k-th phase_transition event\n"
       "                         (default 1 = all; structural events are\n"
       "                         never sampled out)\n"
@@ -153,8 +155,6 @@ constexpr std::string_view cli_flags[] = {
       "  --profile              hierarchical section profiling: hardware\n"
       "                         counters when available, wall time always;\n"
       "                         the section table lands in the --json summary\n"
-      "                         (requires --graph=complete; runs through the\n"
-      "                         selected engine)\n"
       "  --profile-out=<file>   also write the profile as a folded-stack\n"
       "                         file (flamegraph.pl / speedscope); implies\n"
       "                         --profile\n"
@@ -229,6 +229,25 @@ constexpr std::string_view cli_flags[] = {
   std::exit(0);
 }
 
+/// Strict parses for the numeric flags outside the spec: a value that is
+/// not a number is a usage error naming the flag (exit 2), never an
+/// uncaught exception.
+double number_flag(std::string_view flag, const std::string& text,
+                   void (*fail)(const std::string&)) {
+  const std::optional<double> value = util::parse_double(text);
+  if (!value)
+    fail(std::string(flag) + ": expected a number, got '" + text + "'");
+  return *value;
+}
+
+std::uint64_t count_flag(std::string_view flag, const std::string& text) {
+  const std::optional<std::uint64_t> value = util::parse_u64(text);
+  if (!value)
+    usage(std::string(flag) + ": expected an unsigned integer, got '" + text +
+          "'");
+  return *value;
+}
+
 options parse(int argc, char** argv) {
   options opt;
   // Bare --json is the machine-readable modifier for the list modes; it
@@ -284,7 +303,9 @@ options parse(int argc, char** argv) {
       continue;
     }
     if (auto v = value_of("--graph-p")) {
-      opt.graph_p = std::stod(*v);
+      opt.graph_p = number_flag("--graph-p", *v, usage);
+      if (!(opt.graph_p >= 0.0 && opt.graph_p <= 1.0))
+        usage("--graph-p must be in [0, 1], got '" + *v + "'");
       continue;
     }
     if (auto v = value_of("--engine")) {
@@ -304,7 +325,9 @@ options parse(int argc, char** argv) {
       continue;
     }
     if (auto v = value_of("--trace-every")) {
-      opt.trace_every = std::stod(*v);
+      opt.trace_every = number_flag("--trace-every", *v, usage);
+      if (!(opt.trace_every >= 0.0 && std::isfinite(opt.trace_every)))
+        usage("--trace-every must be a finite number >= 0, got '" + *v + "'");
       continue;
     }
     if (auto v = value_of("--dump")) {
@@ -324,13 +347,13 @@ options parse(int argc, char** argv) {
       continue;
     }
     if (auto v = value_of("--trace-sample-every")) {
-      opt.trace_sample_every = std::stoull(*v);
+      opt.trace_sample_every = count_flag("--trace-sample-every", *v);
       if (opt.trace_sample_every == 0)
         usage("--trace-sample-every must be >= 1");
       continue;
     }
     if (auto v = value_of("--trace-cap")) {
-      opt.trace_cap = static_cast<std::size_t>(std::stoull(*v));
+      opt.trace_cap = count_flag("--trace-cap", *v);
       continue;
     }
     if (arg == "--progress") {
@@ -370,12 +393,6 @@ options parse(int argc, char** argv) {
   if (engine != engine_kind::direct && opt.graph != "complete")
     usage("--engine=" + std::string(to_string(engine)) +
           " requires --graph=complete");
-  if (!opt.trace_path.empty() && opt.graph != "complete")
-    usage("--trace-out requires --graph=complete (tracing attaches to the "
-          "engine hook API)");
-  if (opt.profile && opt.graph != "complete")
-    usage("--profile requires --graph=complete (profiling attaches to the "
-          "engine)");
   return opt;
 }
 
@@ -498,14 +515,13 @@ std::string slurp(const std::string& path) {
 }
 
 /// Writes the --json run summary: the verdict plus everything a script
-/// needs to re-run or classify the run.  Engine counters and trace stats
-/// appear when the run went through an engine / had a trace attached.
+/// needs to re-run or classify the run, with the engine counters; trace
+/// stats and the profile appear when attached.
 void write_summary(const options& opt, bool stabilized, double time,
                    std::uint64_t interactions,
-                   const obs::engine_counters* counters,
+                   const obs::engine_counters& counters,
                    const obs::trace_sink* sink,
-                   const std::optional<obs::json_value>& profile =
-                       std::nullopt) {
+                   const std::optional<obs::json_value>& profile) {
   if (opt.json_path.empty()) return;
   obs::json_value doc = obs::json_value::object();
   doc["schema_version"] = 1;
@@ -519,7 +535,7 @@ void write_summary(const options& opt, bool stabilized, double time,
   doc["stabilized"] = stabilized;
   doc["parallel_time"] = time;
   doc["interactions"] = interactions;
-  if (counters != nullptr) doc["engine_counters"] = obs::to_json(*counters);
+  doc["engine_counters"] = obs::to_json(counters);
   if (sink != nullptr) {
     obs::json_value trace = obs::json_value::object();
     trace["events"] = static_cast<std::uint64_t>(sink->events().size());
@@ -561,15 +577,22 @@ std::vector<typename P::agent_state> resolve_initial(
   return initial;
 }
 
-/// Complete-graph runs: the trajectory advances through the engine --engine
-/// selects (pp/engine.hpp), correctness is tracked incrementally (the
-/// engine may skip certainly-null interactions, so a per-step full-scan
-/// check would defeat the point), and a phase observer emits the structured
-/// event stream for instrumented protocols.  --profile and --trace-out only
-/// attach to this run, so they never change what it prints.
+/// Interactions in `time` units of parallel time.  The spec builder keeps
+/// max_time * n below 2^64, so the cast is defined for every time <=
+/// max_time.
+std::uint64_t interactions_at(const options& opt, double time) {
+  return static_cast<std::uint64_t>(time * static_cast<double>(opt.spec.n));
+}
+
+/// Ranking runs: the trajectory advances through the engine (--engine's
+/// on the complete graph, the direct engine on a --graph topology),
+/// correctness is tracked incrementally (the engine may skip
+/// certainly-null interactions, so a per-step full-scan check would defeat
+/// the point), and a phase observer emits the structured event stream for
+/// instrumented protocols.  --profile and --trace-out only attach to this
+/// run, so they never change what it prints.
 template <class P, class Engine>
 int drive_engine(const options& opt, const P& protocol, Engine& eng) {
-  const std::uint32_t n = opt.spec.n;
   const double max_time = opt.spec.max_time;
   obs::engine_counters counters;
   eng.attach_counters(&counters);
@@ -606,13 +629,15 @@ int drive_engine(const options& opt, const P& protocol, Engine& eng) {
       return tracker.correct();
     };
     const double step_window = progress_window(opt);
+    const std::uint64_t max_interactions = interactions_at(opt, max_time);
     bool done = tracker.correct();
-    while (!done && eng.parallel_time() < max_time) {
-      const double next_checkpoint =
-          std::min(eng.parallel_time() + step_window, max_time);
-      done = eng.run(static_cast<std::uint64_t>(
-                         next_checkpoint * static_cast<double>(n)),
-                     pre, post);
+    while (!done && eng.interactions() < max_interactions) {
+      // Every window advances at least one interaction, however short.
+      const double next = std::min(eng.parallel_time() + step_window, max_time);
+      const std::uint64_t checkpoint =
+          std::clamp(interactions_at(opt, next), eng.interactions() + 1,
+                     max_interactions);
+      done = eng.run(checkpoint, pre, post);
       progress.update(eng.parallel_time(), eng.interactions());
       if (opt.trace_every > 0 || done) {
         std::cout << "t=" << eng.parallel_time() << ": "
@@ -652,7 +677,7 @@ int drive_engine(const options& opt, const P& protocol, Engine& eng) {
     if (sink_ptr != nullptr)
       sink.emit({obs::trace_event_kind::run_start, eng.parallel_time(),
                  eng.interactions()});
-    done = run_to_verdict([](const agent_pair&) {},
+    done = run_to_verdict(ignore_pair,
                           [](const agent_pair&, bool) {});
     if (sink_ptr != nullptr) {
       if (done)
@@ -672,65 +697,10 @@ int drive_engine(const options& opt, const P& protocol, Engine& eng) {
                 << describe(protocol, eng.agents()[i]) << '\n';
   }
   write_summary(opt, done, eng.parallel_time(), eng.interactions(),
-                &counters, sink_ptr, profile_json);
+                counters, sink_ptr, profile_json);
   if (done) {
     std::cout << "stabilized at t=" << eng.parallel_time() << " ("
               << eng.interactions() << " interactions); leader is the rank-1 "
-              << "agent\n";
-    return 0;
-  }
-  std::cout << "did NOT stabilize within t=" << max_time << '\n';
-  return 1;
-}
-
-/// Runs on an explicit --graph topology with periodic summaries; returns
-/// the exit code.
-template <class P>
-int drive(const options& opt, const P& protocol,
-          std::vector<typename P::agent_state> initial,
-          const interaction_graph& graph) {
-  const double max_time = opt.spec.max_time;
-  graph_simulation<P> sim(protocol, graph, std::move(initial), opt.spec.seed);
-  std::cout << "t=0.0: " << summarize_configuration(protocol, sim.agents())
-            << '\n';
-  if (opt.show_agents) {
-    for (std::size_t i = 0; i < sim.agents().size(); ++i)
-      std::cout << "  agent " << i << ": "
-                << describe(protocol, sim.agents()[i]) << '\n';
-  }
-
-  run_progress progress(opt);
-  const double step_window = progress_window(opt);
-  bool done = false;
-  while (!done && sim.parallel_time() < max_time) {
-    const double next_checkpoint =
-        std::min(sim.parallel_time() + step_window, max_time);
-    done = sim.run_until(
-        [&](const graph_simulation<P>& s) {
-          return is_valid_ranking(s.protocol(), s.agents()) ||
-                 s.parallel_time() >= next_checkpoint;
-        },
-        static_cast<std::uint64_t>(max_time *
-                                   static_cast<double>(opt.spec.n)));
-    done = done && is_valid_ranking(protocol, sim.agents());
-    progress.update(sim.parallel_time(), sim.interactions());
-    if (opt.trace_every > 0 || done) {
-      std::cout << "t=" << sim.parallel_time() << ": "
-                << summarize_configuration(protocol, sim.agents()) << '\n';
-    }
-  }
-  progress.finish(sim.parallel_time(), sim.interactions());
-
-  if (opt.show_agents) {
-    for (std::size_t i = 0; i < sim.agents().size(); ++i)
-      std::cout << "  agent " << i << ": "
-                << describe(protocol, sim.agents()[i]) << '\n';
-  }
-  write_summary(opt, done, sim.parallel_time(), sim.interactions(), nullptr,
-                nullptr);
-  if (done) {
-    std::cout << "stabilized at t=" << sim.parallel_time() << " ("
-              << sim.interactions() << " interactions); leader is the rank-1 "
               << "agent\n";
     return 0;
   }
@@ -757,9 +727,7 @@ int drive_loose_engine(const options& opt, const loose_stabilizing_le& p,
   bool done = p.leader_count(eng.agents()) == 1;
   if (!done) {
     done = eng.run(
-        static_cast<std::uint64_t>(opt.spec.max_time *
-                                   static_cast<double>(opt.spec.n)),
-        [](const agent_pair&) {},
+        interactions_at(opt, opt.spec.max_time), ignore_pair,
         [&](const agent_pair&, bool changed) {
           if ((eng.interactions() & 0xffff) == 0)
             progress.update(eng.parallel_time(), eng.interactions());
@@ -779,27 +747,7 @@ int drive_loose_engine(const options& opt, const loose_stabilizing_le& p,
   }
   const std::optional<obs::json_value> profile_json = prof.finish();
   write_summary(opt, done, eng.parallel_time(), eng.interactions(),
-                &counters, sink_ptr, profile_json);
-  return done ? 0 : 1;
-}
-
-/// Loose LE on an explicit --graph topology.
-int drive_loose(const options& opt, const loose_stabilizing_le& p,
-                std::vector<loose_stabilizing_le::agent_state> initial,
-                const interaction_graph& graph) {
-  graph_simulation<loose_stabilizing_le> sim(p, graph, std::move(initial),
-                                             opt.spec.seed);
-  std::cout << "t=0.0: " << summarize_configuration(p, sim.agents()) << '\n';
-  const bool done = sim.run_until(
-      [&](const graph_simulation<loose_stabilizing_le>& s) {
-        return s.protocol().leader_count(s.agents()) == 1;
-      },
-      static_cast<std::uint64_t>(opt.spec.max_time *
-                                 static_cast<double>(opt.spec.n)));
-  std::cout << "t=" << sim.parallel_time() << ": "
-            << summarize_configuration(p, sim.agents()) << '\n';
-  write_summary(opt, done, sim.parallel_time(), sim.interactions(), nullptr,
-                nullptr);
+                counters, sink_ptr, profile_json);
   return done ? 0 : 1;
 }
 
@@ -1097,15 +1045,17 @@ int cmd_compare(std::span<char* const> args) {
       continue;
     }
     if (auto v = flag_value(args, i, "--ks-alpha")) {
-      limits.ks_alpha = std::stod(*v);
+      limits.ks_alpha = number_flag("--ks-alpha", *v, subcommand_usage);
       continue;
     }
     if (auto v = flag_value(args, i, "--mean-tolerance")) {
-      limits.sample_mean_tolerance = std::stod(*v);
+      limits.sample_mean_tolerance =
+          number_flag("--mean-tolerance", *v, subcommand_usage);
       continue;
     }
     if (auto v = flag_value(args, i, "--value-tolerance")) {
-      limits.value_tolerance = std::stod(*v);
+      limits.value_tolerance =
+          number_flag("--value-tolerance", *v, subcommand_usage);
       continue;
     }
     const std::string_view arg = args[i];
@@ -1181,28 +1131,28 @@ int main(int argc, char** argv) {
   const options opt = parse(argc, argv);
   if (opt.lint) run_lint_gate(opt);
   return with_catalog_entry(opt.spec.protocol, [&opt]<class Entry>() {
+    using P = typename Entry::protocol;
     std::optional<interaction_graph> graph;
     if (opt.graph != "complete") graph = make_graph(opt);
     if (Entry::complete_graph_only && graph.has_value())
       usage(std::string(Entry::name) + " runs on the complete graph only");
-    const typename Entry::protocol protocol = Entry::make(opt.spec);
+    const P protocol = Entry::make(opt.spec);
     rng_t scenario_rng(opt.spec.seed ^ 0xabcdef123456ULL);
     auto initial = resolve_initial(
         opt, protocol,
         Entry::initial(protocol, opt.spec.scenario, scenario_rng));
-    if (graph.has_value()) {
+    const auto drive = [&](auto& engine) {
       if constexpr (Entry::measure == stabilization::unique_leader)
-        return drive_loose(opt, protocol, std::move(initial), *graph);
+        return drive_loose_engine(opt, protocol, engine);
       else
-        return drive(opt, protocol, std::move(initial), *graph);
+        return drive_engine(opt, protocol, engine);
+    };
+    if (!graph.has_value()) {
+      return with_engine(opt.spec.engine, protocol, std::move(initial),
+                         opt.spec.seed, drive);
     }
-    return with_engine(opt.spec.engine, protocol, std::move(initial),
-                       opt.spec.seed, [&](auto& engine) {
-                         if constexpr (Entry::measure ==
-                                       stabilization::unique_leader)
-                           return drive_loose_engine(opt, protocol, engine);
-                         else
-                           return drive_engine(opt, protocol, engine);
-                       });
+    direct_engine<P, interaction_graph> engine(
+        protocol, std::move(initial), opt.spec.seed, std::move(*graph));
+    return drive(engine);
   });
 }

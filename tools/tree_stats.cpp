@@ -1,11 +1,12 @@
 // Internal instrumentation: tree-size and interaction-cost profile of
 // Sublinear-Time-SSR across (n, H), used to size the benchmark sweeps and
 // validate the pruning memory bound (DESIGN.md deviation #2).
+#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <limits>
 
-#include "pp/convergence.hpp"
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/sublinear.hpp"
 
@@ -21,38 +22,39 @@ int main(int argc, char** argv) {
             << " retention=" << p.params().prune_retention << "\n";
   rng_t rng(1);
   auto init = adversarial_configuration(p, sublinear_scenario::all_same_name, rng);
-  simulation<sublinear_time_ssr> sim(p, std::move(init), 7);
+  direct_engine<sublinear_time_ssr> eng(p, std::move(init), 7);
 
   const auto t0 = std::chrono::steady_clock::now();
-  std::uint64_t steps = 0;
   std::size_t max_nodes = 0, cur_nodes = 0;
-  while (true) {
-    sim.step(); ++steps;
-    if (steps % 64 == 0) {
-      cur_nodes = 0;
-      for (const auto& s : sim.agents())
-        if (s.role == sublinear_time_ssr::role_t::collecting)
-          cur_nodes += s.tree.node_count();
-      max_nodes = std::max(max_nodes, cur_nodes);
-      if (is_valid_ranking(p, sim.agents())) break;
-      if (steps > 10'000'000ull) { std::cout << "NO CONVERGENCE\n"; break; }
-    }
-  }
-  const double conv_time = sim.parallel_time();
-  for (int i = 0; i < confirm_steps; ++i) {
-    sim.step();
-    if (i % 256 == 0) {
-      cur_nodes = 0;
-      for (const auto& s : sim.agents())
-        if (s.role == sublinear_time_ssr::role_t::collecting)
-          cur_nodes += s.tree.node_count();
-      max_nodes = std::max(max_nodes, cur_nodes);
-    }
-  }
+  const auto sample_nodes = [&] {
+    cur_nodes = 0;
+    for (const auto& s : eng.agents())
+      if (s.role == sublinear_time_ssr::role_t::collecting)
+        cur_nodes += s.tree.node_count();
+    max_nodes = std::max(max_nodes, cur_nodes);
+  };
+  eng.run(std::numeric_limits<std::uint64_t>::max(), ignore_pair,
+          [&](const agent_pair&, bool) {
+            if (eng.interactions() % 64 != 0) return false;
+            sample_nodes();
+            if (is_valid_ranking(p, eng.agents())) return true;
+            if (eng.interactions() > 10'000'000ull) {
+              std::cout << "NO CONVERGENCE\n";
+              return true;
+            }
+            return false;
+          });
+  const std::uint64_t steps = eng.interactions();
+  const double conv_time = eng.parallel_time();
+  eng.run(steps + static_cast<std::uint64_t>(std::max(confirm_steps, 0)),
+          ignore_pair, [&](const agent_pair&, bool) {
+            if ((eng.interactions() - steps - 1) % 256 == 0) sample_nodes();
+            return false;
+          });
   const auto t1 = std::chrono::steady_clock::now();
   const double wall = std::chrono::duration<double>(t1 - t0).count();
   std::cout << "converged at parallel time " << conv_time
-            << " (" << steps << " steps), still-valid=" << is_valid_ranking(p, sim.agents())
+            << " (" << steps << " steps), still-valid=" << is_valid_ranking(p, eng.agents())
             << "\nmax total nodes " << max_nodes
             << " (avg/agent " << max_nodes / n << "), steady nodes " << cur_nodes
             << "\nwall " << wall << " s, "
