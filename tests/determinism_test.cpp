@@ -9,6 +9,9 @@
 //   * direct_engine<P> reproduces a recorded trajectory of the historical
 //     per-step simulator (tests/data/determinism), the contract that keeps
 //     every seed-pinned historical result valid;
+//   * Sublinear-Time-SSR follows recorded trajectories from every
+//     adversarial scenario at H = 1..3 (tests/data/determinism), the wall
+//     that keeps history-tree re-encodings exact;
 //   * splitting one run into several run() calls (cancellation bursts, CLI
 //     checkpoints) follows the unsplit trajectory on both batched paths.
 #include <gtest/gtest.h>
@@ -26,6 +29,7 @@
 #include "protocols/serialize.hpp"
 #include "protocols/silent_n_state.hpp"
 #include "protocols/sublinear.hpp"
+#include "util/sha256.hpp"
 
 namespace {
 
@@ -118,6 +122,75 @@ TEST(Determinism, DirectEngineMatchesSimulationTrajectory) {
            "interaction "
         << eng.interactions();
   }
+}
+
+constexpr sublinear_scenario kSublinearScenarios[] = {
+    sublinear_scenario::uniform_random,   sublinear_scenario::all_same_name,
+    sublinear_scenario::single_collision, sublinear_scenario::ghost_names,
+    sublinear_scenario::missing_own_name, sublinear_scenario::planted_histories,
+    sublinear_scenario::mid_reset,        sublinear_scenario::valid_ranking};
+
+/// Serialized configurations of one Sublinear-Time-SSR run at every
+/// 500-interaction checkpoint up to 5000 (the n = 16 runs spend the first
+/// ~3500 interactions resetting, so the last checkpoints carry full trees).
+std::vector<std::string> sublinear_checkpoints(std::uint32_t n,
+                                               std::uint32_t h,
+                                               sublinear_scenario scenario) {
+  const sublinear_time_ssr p(n, h);
+  const auto index = static_cast<std::uint64_t>(scenario);
+  rng_t config_rng(derive_seed(1000 * n + 100 * h, index));
+  const auto initial = adversarial_configuration(p, scenario, config_rng);
+  direct_engine<sublinear_time_ssr> eng(
+      p, initial, derive_seed(7000 * n + 100 * h, index));
+  std::vector<std::string> texts;
+  for (std::uint64_t t = 500; t <= 5000; t += 500) {
+    eng.run(t, ignore_pair, never_stop);
+    texts.push_back(to_text(p, eng.agents()));
+  }
+  return texts;
+}
+
+std::vector<std::string> golden_lines(const std::string& file) {
+  std::ifstream in(std::string(SSR_TEST_DATA_DIR) + "/determinism/" + file);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(Determinism, SublinearTrajectoriesMatchGolden) {
+  // One line per (n, H, scenario, checkpoint): the first 16 hex digits of
+  // the SHA-256 of to_text(protocol, configuration).
+  const std::vector<std::string> expected =
+      golden_lines("sublinear_trajectories.txt");
+  ASSERT_EQ(expected.size(), 2u * 3u * 8u * 10u) << "missing or short golden";
+  std::size_t line = 0;
+  for (const std::uint32_t n : {8u, 16u}) {
+    for (const std::uint32_t h : {1u, 2u, 3u}) {
+      for (const sublinear_scenario scenario : kSublinearScenarios) {
+        const auto texts = sublinear_checkpoints(n, h, scenario);
+        for (std::size_t c = 0; c < texts.size(); ++c) {
+          const std::string actual =
+              "n=" + std::to_string(n) + " h=" + std::to_string(h) +
+              " scenario=" + to_string(scenario) +
+              " t=" + std::to_string(500 * (c + 1)) +
+              " sha256=" + util::sha256_hex(texts[c]).substr(0, 16);
+          EXPECT_EQ(expected[line++], actual);
+        }
+      }
+    }
+  }
+}
+
+TEST(Determinism, SublinearPlantedHistoriesMatchGoldenText) {
+  // The full configuration of one small case at its first checkpoint with
+  // grown trees, so a mismatch in the hash wall can be read off as a diff.
+  const std::vector<std::string> lines =
+      golden_lines("sublinear_n8_h2_planted_histories_t1500.txt");
+  ASSERT_FALSE(lines.empty()) << "missing trajectory golden";
+  std::string expected;
+  for (const std::string& line : lines) expected += line + '\n';
+  EXPECT_EQ(expected, sublinear_checkpoints(
+                          8, 2, sublinear_scenario::planted_histories)[2]);
 }
 
 /// Runs `total` interactions in one run() call and in run() calls of
