@@ -11,7 +11,7 @@ namespace {
 template <class... E>
 std::array<protocol_entry, sizeof...(E)> make_catalog(std::tuple<E...>*) {
   return {protocol_entry{E::name, E::blurb, E::scenarios(), E::uses_h,
-                         E::uses_t_max, &E::lint_entries}...};
+                         E::uses_t_max, E::max_n, &E::lint_entries}...};
 }
 
 /// Records the traced protocol's phase-name table so the trace header and

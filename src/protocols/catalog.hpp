@@ -94,6 +94,7 @@ struct entry_defaults {
   static constexpr bool uses_h = false;
   static constexpr bool uses_t_max = false;
   static constexpr bool complete_graph_only = false;
+  static constexpr std::uint32_t max_n = UINT32_MAX;
   static constexpr stabilization measure = stabilization::ranking;
   /// Silent protocols: correctness implies silence, so no window.
   static double confirm(std::uint32_t) { return 0.0; }
@@ -178,6 +179,8 @@ struct sublinear : entry_defaults, enumerated_scenarios<sublinear_scenarios> {
   static constexpr std::string_view label = "sublinear";
   static constexpr bool uses_h = true;
   static constexpr bool complete_graph_only = true;
+  /// Names of 3 log2 n bits are packed into name_t's 63.
+  static constexpr std::uint32_t max_n = std::uint32_t{1} << 21;
   static constexpr std::uint64_t salt = 0x85ebca6b;
 
   static protocol make(const util::sim_request_spec& spec) {
@@ -257,6 +260,8 @@ struct protocol_entry {
   std::span<const std::string_view> scenarios;
   bool uses_h = false;
   bool uses_t_max = false;
+  /// Largest population size the protocol supports.
+  std::uint32_t max_n = UINT32_MAX;
   /// Lint registry entries covering the protocol at history depth h.
   std::vector<std::string> (*lint_entries)(std::uint32_t h) = nullptr;
 };

@@ -128,9 +128,8 @@ bool sublinear_time_ssr::interact(agent_state& a, agent_state& b,
       // pre-interaction snapshots, own-name scrubbing, timer aging.
       const auto sync = static_cast<std::uint32_t>(
           1 + uniform_below(rng, params_.s_max));
-      const history_tree a_before = a.tree;
-      a.tree.graft_partner(b.tree, params_.h - 1, sync, params_.t_h);
-      b.tree.graft_partner(a_before, params_.h - 1, sync, params_.t_h);
+      history_tree::graft_each_other(a.tree, b.tree, params_.h - 1, sync,
+                                     params_.t_h);
       a.tree.remove_named_subtrees(a.name);
       b.tree.remove_named_subtrees(b.name);
       a.tree.age_edges(params_.prune_retention);

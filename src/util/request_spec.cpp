@@ -63,7 +63,9 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) {
   std::uint64_t value = 0;
   for (const char c : text) {
     if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;  // past 2^64
+    value = value * 10 + digit;
   }
   return value;
 }
@@ -147,21 +149,28 @@ void spec_builder::set_engine(std::string_view v) {
   engine_given_ = true;
 }
 
+bool spec_builder::set_u32(std::string_view field, std::uint64_t v,
+                           std::uint32_t& out) {
+  if (v > UINT32_MAX) {
+    syntax_errors_.push_back(
+        {std::string(field), "must be at most " + std::to_string(UINT32_MAX) +
+                                 ", got " + std::to_string(v)});
+    return false;
+  }
+  out = static_cast<std::uint32_t>(v);
+  return true;
+}
+
 void spec_builder::set_shards(std::uint64_t v) {
-  spec_.engine.shards = static_cast<std::uint32_t>(v);
-  shards_given_ = true;
+  if (set_u32("shards", v, spec_.engine.shards)) shards_given_ = true;
 }
 
-void spec_builder::set_n(std::uint64_t v) {
-  spec_.n = static_cast<std::uint32_t>(v);
-}
+void spec_builder::set_n(std::uint64_t v) { set_u32("n", v, spec_.n); }
 
-void spec_builder::set_h(std::uint64_t v) {
-  spec_.h = static_cast<std::uint32_t>(v);
-}
+void spec_builder::set_h(std::uint64_t v) { set_u32("h", v, spec_.h); }
 
 void spec_builder::set_t_max(std::uint64_t v) {
-  spec_.t_max = static_cast<std::uint32_t>(v);
+  set_u32("t_max", v, spec_.t_max);
 }
 
 void spec_builder::set_trials(std::uint64_t v) { spec_.trials = v; }
@@ -174,7 +183,13 @@ void spec_builder::set_u64_text(std::string_view field,
                                 std::string_view text) {
   const std::optional<std::uint64_t> value = parse_u64(text);
   if (!value) {
-    std::string message = "expected an unsigned integer, got '";
+    const bool digits = std::all_of(text.begin(), text.end(), [](char c) {
+      return c >= '0' && c <= '9';
+    });
+    std::string message = digits && !text.empty()
+                              ? "must be at most " + std::to_string(UINT64_MAX) +
+                                    ", got '"
+                              : std::string("expected an unsigned integer, got '");
     message += text;
     message += "'";
     syntax_errors_.push_back({std::string(field), std::move(message)});
@@ -289,6 +304,12 @@ std::vector<spec_error> spec_builder::finalize() {
 
   if (spec_.n < 2)
     errors.push_back({"n", "population size must be at least 2"});
+  if (entry != nullptr && spec_.n > entry->max_n) {
+    errors.push_back({"n", std::string(entry->name) +
+                               " population size must be at most " +
+                               std::to_string(entry->max_n) + ", got " +
+                               std::to_string(spec_.n)});
+  }
   if (spec_.trials == 0)
     errors.push_back({"trials", "trial count must be positive"});
   // Engines count interactions in 64 bits, and max_time * n of them must

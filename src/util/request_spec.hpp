@@ -92,7 +92,8 @@ std::span<const std::string_view> scenario_names(std::string_view protocol);
 ///   * protocol and engine names must be known (nearest-name suggestion);
 ///   * the scenario must belong to the protocol's scenario set;
 ///   * n >= 2, trials >= 1, max_time > 0, h >= 1 where the protocol
-///     reads h;
+///     reads h, and n within the protocol's cap (sublinear: 2^21);
+///     n, h, t_max and shards past 2^32 - 1 are field errors when set;
 ///   * shards may only be given with engine=sharded, and an explicit
 ///     shards=0 is rejected (omit the field for hardware concurrency) --
 ///     nothing is silently clamped or ignored.
@@ -129,6 +130,10 @@ class spec_builder {
   const sim_request_spec& spec() const { return spec_; }
 
  private:
+  /// Stores a 32-bit field, or records a field error past 2^32 - 1 and
+  /// returns false.
+  bool set_u32(std::string_view field, std::uint64_t v, std::uint32_t& out);
+
   sim_request_spec spec_;
   std::string engine_text_;
   bool engine_given_ = false;

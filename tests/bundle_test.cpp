@@ -118,6 +118,17 @@ TEST(Scenario, FieldErrorsMatchGolden) {
       << "regenerate with the printed text if the diagnostics changed";
 }
 
+TEST(Scenario, OutOfRangeIntegersAreFieldErrors) {
+  std::vector<util::spec_error> errors;
+  EXPECT_FALSE(obs::parse_scenario_text(
+                   R"({"schema":"ssr.scenario","schema_version":1,
+                       "name":"x","protocol":"baseline","n":4294967298})",
+                   &errors)
+                   .has_value());
+  EXPECT_EQ(errors, (std::vector<util::spec_error>{
+                        {"n", "must be at most 4294967295, got 4294967298"}}));
+}
+
 TEST(Scenario, RejectsWrongSchemaAndVersion) {
   std::vector<util::spec_error> errors;
   EXPECT_FALSE(obs::parse_scenario_text(

@@ -11,7 +11,8 @@
 // Timing assertions are deliberately generous (min-of-repetitions against a
 // 2x bound) so the test stays deterministic on loaded CI machines; the
 // per-interaction work here is an RNG draw plus a transition, both of which
-// dwarf a counter increment.
+// dwarf a counter increment.  Detached and attached repetitions alternate,
+// so a load spike on the host slows both minima alike instead of one side.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,20 +45,32 @@ double seconds_for_run(obs::engine_counters* counters) {
       .count();
 }
 
-double min_of(int repetitions, obs::engine_counters* counters) {
-  double best = 1e9;
-  for (int r = 0; r < repetitions; ++r)
-    best = std::min(best, seconds_for_run(counters));
-  return best;
+/// Best times of `run(nullptr)` (5 repetitions), `run(sink)` (5) and
+/// `run(nullptr)` again (3), taken in interleaved rounds.
+struct minima {
+  double detached = 1e9;
+  double attached = 1e9;
+  double detached_again = 1e9;
+};
+
+template <class Run, class Sink>
+minima interleaved_minima(Run run, Sink* sink) {
+  minima m;
+  for (int r = 0; r < 5; ++r) {
+    m.detached = std::min(m.detached, run(nullptr));
+    m.attached = std::min(m.attached, run(sink));
+    if (r < 3) m.detached_again = std::min(m.detached_again, run(nullptr));
+  }
+  return m;
 }
 
 TEST(ObsOverhead, DisabledCountersStayCheap) {
   // Warm-up: page in the code and let the clock settle.
   seconds_for_run(nullptr);
 
-  const double detached = min_of(5, nullptr);
   obs::engine_counters counters;
-  const double attached = min_of(5, &counters);
+  const auto [detached, attached, detached_again] =
+      interleaved_minima(seconds_for_run, &counters);
 
   ASSERT_GT(detached, 0.0);
   EXPECT_GT(counters.interactions_executed, 0u);
@@ -65,7 +78,6 @@ TEST(ObsOverhead, DisabledCountersStayCheap) {
   // the cost of an RNG draw + transition + hook dispatch.
   EXPECT_LT(attached, detached * 2.0)
       << "attached=" << attached << "s detached=" << detached << "s";
-  const double detached_again = min_of(3, nullptr);
   EXPECT_LT(detached_again, detached * 2.0)
       << "measurement too noisy to interpret";
 }
@@ -98,27 +110,19 @@ double seconds_for_convergence(obs::trace_sink* trace) {
       .count();
 }
 
-double min_of_convergence(int repetitions, obs::trace_sink* trace) {
-  double best = 1e9;
-  for (int r = 0; r < repetitions; ++r)
-    best = std::min(best, seconds_for_convergence(trace));
-  return best;
-}
-
 TEST(ObsOverhead, DetachedRequestTraceStaysCheap) {
   seconds_for_convergence(nullptr);  // warm-up
 
-  const double detached = min_of_convergence(5, nullptr);
   // Heavy sampling: the sink sees every offer but keeps few events, so
   // this times the hook dispatch itself, not the event buffering.
   obs::trace_sink sink(obs::trace_options{.sample_every = 1u << 20});
-  const double attached = min_of_convergence(5, &sink);
+  const auto [detached, attached, detached_again] =
+      interleaved_minima(seconds_for_convergence, &sink);
 
   ASSERT_GT(detached, 0.0);
   EXPECT_GT(sink.offered(), 0u);
   EXPECT_LT(attached, detached * 4.0)
       << "attached=" << attached << "s detached=" << detached << "s";
-  const double detached_again = min_of_convergence(3, nullptr);
   EXPECT_LT(detached_again, detached * 2.0)
       << "measurement too noisy to interpret";
 }

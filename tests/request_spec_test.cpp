@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -201,6 +202,58 @@ TEST(RequestSpec, ParseU64Golden) {
   EXPECT_EQ(parse_u64("+3"), std::nullopt);
   EXPECT_EQ(parse_u64("1e3"), std::nullopt);
   EXPECT_EQ(parse_u64("12 "), std::nullopt);
+}
+
+TEST(RequestSpec, ParseU64RejectsValuesPast2To64) {
+  EXPECT_EQ(parse_u64("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_u64("18446744073709551616"), std::nullopt);
+  EXPECT_EQ(parse_u64("18446744073709551618"), std::nullopt);
+  EXPECT_EQ(parse_u64("99999999999999999999999"), std::nullopt);
+}
+
+TEST(RequestSpec, WideIntegersAreFieldErrors) {
+  // 2^32 + 2 used to be cast to 2: a 2-agent run that looked like success.
+  spec_builder builder;
+  builder.set_protocol("loose");
+  builder.set_n(4294967298u);
+  builder.set_h(4294967296u);
+  builder.set_t_max(std::uint64_t{1} << 40);
+  builder.set_engine("sharded");
+  builder.set_shards(4294967297u);
+  EXPECT_EQ(builder.finalize(),
+            (std::vector<spec_error>{
+                {"n", "must be at most 4294967295, got 4294967298"},
+                {"h", "must be at most 4294967295, got 4294967296"},
+                {"t_max", "must be at most 4294967295, got 1099511627776"},
+                {"shards", "must be at most 4294967295, got 4294967297"}}));
+  // Text past 2^64 - 1 used to wrap around.
+  spec_builder text;
+  text.set_u64_text("n", "18446744073709551618");
+  EXPECT_EQ(text.finalize(),
+            (std::vector<spec_error>{
+                {"n",
+                 "must be at most 18446744073709551615, got "
+                 "'18446744073709551618'"}}));
+  spec_builder widest;
+  widest.set_u64_text("n", "4294967295");
+  EXPECT_TRUE(widest.finalize().empty());
+  EXPECT_EQ(widest.spec().n, 4294967295u);
+}
+
+TEST(RequestSpec, SublinearPopulationIsCappedByNameWidth) {
+  spec_builder over;
+  over.set_protocol("sublinear");
+  over.set_n(2097153);
+  EXPECT_EQ(over.finalize(),
+            (std::vector<spec_error>{
+                {"n",
+                 "sublinear population size must be at most 2097152, got "
+                 "2097153"}}));
+  spec_builder at_cap;
+  at_cap.set_protocol("sublinear");
+  at_cap.set_n(2097152);
+  EXPECT_TRUE(at_cap.finalize().empty());
 }
 
 TEST(RequestSpec, UnknownNameMessageDropsFarSuggestions) {

@@ -196,6 +196,25 @@ TEST(ServeService, WrongFieldTypesAndUnknownFieldsAreCaught) {
       std::string::npos);
 }
 
+TEST(ServeService, OutOfRangeIntegersAreFieldErrors) {
+  service svc(fast_options());
+  const obs::json_value response = svc.handle_line(
+      R"({"type":"run","protocol":"baseline","n":4294967298})");
+  const obs::json_value* errors = response.find("field_errors");
+  ASSERT_NE(errors, nullptr);
+  ASSERT_EQ(errors->size(), 1u);
+  EXPECT_EQ(errors->at(0).find("field")->as_string(), "n");
+  EXPECT_EQ(errors->at(0).find("message")->as_string(),
+            "must be at most 4294967295, got 4294967298");
+  const obs::json_value capped = svc.handle_line(
+      R"({"type":"run","protocol":"sublinear","n":2097153})");
+  const obs::json_value* cap_errors = capped.find("field_errors");
+  ASSERT_NE(cap_errors, nullptr);
+  ASSERT_EQ(cap_errors->size(), 1u);
+  EXPECT_EQ(cap_errors->at(0).find("message")->as_string(),
+            "sublinear population size must be at most 2097152, got 2097153");
+}
+
 TEST(ServeService, PingPong) {
   service svc(fast_options());
   const obs::json_value response =
