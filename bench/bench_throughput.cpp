@@ -7,12 +7,14 @@
 // the experiments above.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
 #include "pp/convergence.hpp"
 #include "pp/engine.hpp"
+#include "pp/random.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
 #include "protocols/silent_n_state.hpp"
@@ -67,6 +69,47 @@ BENCHMARK(BM_SublinearInteractions)
     ->Args({16, 2})
     ->Args({16, 4})
     ->Args({64, 2});
+
+void BM_SublinearDetection(benchmark::State& state) {
+  // Protocol 7 lines 1-4 alone (both directions), on a configuration run
+  // for 4 n T_H interactions from a clean start with distinct names, so its
+  // trees have reached their steady size and no collision is present:
+  // every fresh history is scanned and checked.  BM_SublinearInteractions
+  // minus this is grafting, scrubbing, aging and the roster merge.
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const auto h = static_cast<std::uint32_t>(state.range(1));
+  sublinear_time_ssr p(n, h);
+  rng_t rng(4);
+  auto init = p.initial_configuration(rng);
+  const auto distinct = [](auto config) {
+    std::ranges::sort(config, {}, &sublinear_time_ssr::agent_state::name);
+    return std::ranges::adjacent_find(
+               config, {}, &sublinear_time_ssr::agent_state::name) ==
+           config.end();
+  };
+  while (!distinct(init)) init = p.initial_configuration(rng);
+  direct_engine<sublinear_time_ssr> eng(p, std::move(init), 5);
+  eng.run(std::uint64_t{4} * n * p.params().t_h, ignore_pair, never_stop);
+  const auto agents = eng.agents();
+  for (const auto& s : agents) {
+    if (s.role != sublinear_time_ssr::role_t::collecting) {
+      state.SkipWithError("the warm-up left the collecting phase");
+      return;
+    }
+  }
+  double nodes = 0;
+  for (const auto& s : agents) nodes += static_cast<double>(s.tree.node_count());
+  state.counters["nodes/agent"] = nodes / n;
+  rng_t pairs(6);
+  for (auto _ : state) {
+    const auto i = static_cast<std::uint32_t>(uniform_below(pairs, n));
+    auto j = static_cast<std::uint32_t>(uniform_below(pairs, n - 1));
+    if (j >= i) ++j;
+    benchmark::DoNotOptimize(p.name_collision_detected(agents[i], agents[j]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SublinearDetection)->Args({16, 3})->Args({64, 2});
 
 void BM_BaselineBatchedInteractions(benchmark::State& state) {
   // Count engine on Silent-n-state-SSR: items processed counts *simulated*

@@ -310,8 +310,13 @@ std::vector<spec_error> spec_builder::finalize() {
                                std::to_string(entry->max_n) + ", got " +
                                std::to_string(spec_.n)});
   }
-  if (spec_.trials == 0)
+  if (spec_.trials == 0) {
     errors.push_back({"trials", "trial count must be positive"});
+  } else if (spec_.trials > max_trials) {
+    errors.push_back({"trials", "trial count must be at most " +
+                                    std::to_string(max_trials) + ", got " +
+                                    std::to_string(spec_.trials)});
+  }
   // Engines count interactions in 64 bits, and max_time * n of them must
   // be representable (casting a larger double is undefined behaviour).
   if (!(spec_.max_time > 0.0)) {

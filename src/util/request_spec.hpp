@@ -31,6 +31,10 @@
 
 namespace ssr::util {
 
+/// Most trials one request may ask for.  Running them allocates one sample
+/// per trial before the first runs, so the count is bounded up front.
+inline constexpr std::uint64_t max_trials = 1'000'000;
+
 /// One field-level validation error; `field` names the offending request
 /// field ("protocol", "engine", "shards", ...), `message` is the shared
 /// human-readable diagnostic.
@@ -91,8 +95,8 @@ std::span<const std::string_view> scenario_names(std::string_view protocol);
 ///
 ///   * protocol and engine names must be known (nearest-name suggestion);
 ///   * the scenario must belong to the protocol's scenario set;
-///   * n >= 2, trials >= 1, max_time > 0, h >= 1 where the protocol
-///     reads h, and n within the protocol's cap (sublinear: 2^21);
+///   * n >= 2, 1 <= trials <= max_trials, max_time > 0, h >= 1 where the
+///     protocol reads h, and n within the protocol's cap (sublinear: 2^21);
 ///     n, h, t_max and shards past 2^32 - 1 are field errors when set;
 ///   * shards may only be given with engine=sharded, and an explicit
 ///     shards=0 is rejected (omit the field for hardware concurrency) --

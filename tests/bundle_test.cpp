@@ -129,6 +129,25 @@ TEST(Scenario, OutOfRangeIntegersAreFieldErrors) {
                         {"n", "must be at most 4294967295, got 4294967298"}}));
 }
 
+TEST(Scenario, OversizeTrialsAreFieldErrors) {
+  std::vector<util::spec_error> errors;
+  EXPECT_FALSE(obs::parse_scenario_text(
+                   R"({"schema":"ssr.scenario","schema_version":1,
+                       "name":"x","protocol":"baseline","n":8,
+                       "trials":1099511627776})",
+                   &errors)
+                   .has_value());
+  EXPECT_EQ(errors,
+            (std::vector<util::spec_error>{
+                {"trials",
+                 "trial count must be at most 1000000, got 1099511627776"}}));
+  EXPECT_TRUE(obs::parse_scenario_text(
+                  R"({"schema":"ssr.scenario","schema_version":1,
+                      "name":"x","protocol":"baseline","n":8,"trials":2})",
+                  &errors)
+                  .has_value());
+}
+
 TEST(Scenario, RejectsWrongSchemaAndVersion) {
   std::vector<util::spec_error> errors;
   EXPECT_FALSE(obs::parse_scenario_text(

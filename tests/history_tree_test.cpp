@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "pp/random.hpp"
 
 namespace ssr {
 namespace {
@@ -254,9 +259,13 @@ TEST(HistoryTreeConcurrency, SharedNodesSurviveCopiesOnManyThreads) {
   f.meet(f.b, f.c, 2);
   f.meet(f.c, f.d, 3);
   const std::string expected = f.d.to_string();
+  history_tree impostor(nm("00"));
+  ASSERT_FALSE(f.d.detects_collision_against(nm("00"), f.a));
+  ASSERT_TRUE(f.d.detects_collision_against(nm("00"), impostor));
+  std::atomic<int> wrong_detections{0};
   std::vector<std::thread> workers;
   for (std::uint32_t t = 0; t < 4; ++t) {
-    workers.emplace_back([&f, t] {
+    workers.emplace_back([&f, &impostor, &wrong_detections, t] {
       for (std::uint32_t i = 1; i <= 2000; ++i) {
         history_tree mine = f.d;
         history_tree other(nm(t % 2 == 0 ? "111" : "000"));
@@ -264,11 +273,147 @@ TEST(HistoryTreeConcurrency, SharedNodesSurviveCopiesOnManyThreads) {
         mine.remove_named_subtrees(mine.root_name());
         mine.age_edges(-1);
         other.age_edges(-1);
+        // Detection reads the nodes other threads copy and drop.
+        const history_tree copy = f.d;
+        if (copy.detects_collision_against(nm("00"), f.a) ||
+            !copy.detects_collision_against(nm("00"), impostor) ||
+            !mine.detects_collision_against(nm("00"), impostor)) {
+          ++wrong_detections;
+        }
       }
     });
   }
   for (std::thread& w : workers) w.join();
   EXPECT_EQ(f.d.to_string(), expected);
+  EXPECT_EQ(wrong_detections.load(), 0);
+}
+
+// Protocol 8 on materialized trees: follow the reversed path from the
+// responder's root; any sync match is consistent.
+bool reference_consistent(const tree_node& responder, const name_t& asker,
+                          const std::vector<tree_edge>& path) {
+  const tree_node* at = &responder;
+  const std::size_t p = path.size();
+  for (std::size_t k = 1; k <= p; ++k) {
+    const name_t& wanted = k < p ? path[p - 1 - k].child.name : asker;
+    const auto next = std::find_if(
+        at->edges.begin(), at->edges.end(),
+        [&](const tree_edge& e) { return e.child.name == wanted; });
+    if (next == at->edges.end()) return false;
+    if (next->sync == path[p - k].sync) return true;
+    at = &next->child;
+  }
+  return false;
+}
+
+// Protocol 7 lines 1-4 by brute force: every path of all-positive timers
+// ending at `partner_name`, in insertion order.
+bool reference_detects(const tree_node& node, const name_t& asker,
+                       const name_t& partner_name, const tree_node& partner,
+                       std::vector<tree_edge>& path) {
+  for (const tree_edge& e : node.edges) {
+    if (e.timer == 0) continue;
+    path.push_back({e.sync, e.timer, 0, tree_node{e.child.name, {}}});
+    const bool found =
+        (e.child.name == partner_name &&
+         !reference_consistent(partner, asker, path)) ||
+        reference_detects(e.child, asker, partner_name, partner, path);
+    path.pop_back();
+    if (found) return true;
+  }
+  return false;
+}
+
+name_t bits_name(std::uint64_t bits, std::uint32_t length) {
+  name_t out;
+  for (std::uint32_t b = length; b-- > 0;) out.append_bit(((bits >> b) & 1) != 0);
+  return out;
+}
+
+// Scrambles a materialized tree the way loaded configurations can: edges
+// reordered and timers and expiry ages rewritten at random.
+void scramble(tree_node& node, rng_t& rng) {
+  for (std::size_t i = node.edges.size(); i > 1; --i)
+    std::swap(node.edges[i - 1], node.edges[uniform_below(rng, i)]);
+  for (tree_edge& e : node.edges) {
+    e.timer = static_cast<std::uint32_t>(uniform_below(rng, 8));
+    e.expired_for = static_cast<std::uint32_t>(uniform_below(rng, 4));
+    scramble(e.child, rng);
+  }
+}
+
+// Detection reads only fresh links, newest first, and stops early in nodes
+// that ascend by expiry; whatever shape a tree has, it must agree with the
+// brute-force scan of every fresh path of root().  The worlds mix protocol
+// grafts with constant and with random timers, own-name scrubs, pruning at
+// several retentions, clocks that drift apart, adopted and scrambled trees,
+// and scrubs of other names -- with repeated names, so that both answers
+// occur often.
+TEST(HistoryTree, DetectionMatchesMaterializedReference) {
+  const std::vector<name_t> pool = {
+      name_t{},          nm("0"),   nm("1"),  nm("01"), nm("10"), nm("110"),
+      bits_name(0x5555'5555'5555'5555u >> 1, 63)};
+  int detected = 0, clean = 0;
+  for (int world = 0; world < 24; ++world) {
+    rng_t rng(derive_seed(915, static_cast<std::uint64_t>(world)));
+    const std::int64_t retention = std::array<std::int64_t, 3>{-1, 2, 8}[world % 3];
+    const bool constant_timer = world % 2 == 0;
+    const std::uint32_t h = 2 + static_cast<std::uint32_t>(world % 3);
+    std::vector<history_tree> trees;
+    for (std::uint32_t i = 0; i < 8; ++i)
+      trees.emplace_back(pool[uniform_below(rng, pool.size())]);
+    for (int step = 0; step < 400; ++step) {
+      const auto i = static_cast<std::uint32_t>(uniform_below(rng, 8));
+      auto j = static_cast<std::uint32_t>(uniform_below(rng, 7));
+      if (j >= i) ++j;
+      history_tree& a = trees[i];
+      history_tree& b = trees[j];
+      const name_t& partner_name = uniform_below(rng, 8) == 0
+                                       ? pool[uniform_below(rng, pool.size())]
+                                       : b.root_name();
+      std::vector<tree_edge> path;
+      const tree_node a_root = a.root();
+      const bool expected = reference_detects(a_root, a.root_name(),
+                                              partner_name, b.root(), path);
+      ASSERT_EQ(a.detects_collision_against(partner_name, b), expected)
+          << "world " << world << " step " << step << "\n"
+          << a.to_string() << "against\n" << b.to_string();
+      (expected ? detected : clean) += 1;
+
+      switch (uniform_below(rng, 16)) {
+        case 0: {  // a loaded configuration: adopted, maybe scrambled
+          tree_node plain = a.root();
+          if (uniform_below(rng, 2) == 0) scramble(plain, rng);
+          a = history_tree::adopt(plain);
+          break;
+        }
+        case 1:  // a scrub of some other name rebuilds the tree
+          a.remove_named_subtrees(pool[uniform_below(rng, pool.size())]);
+          break;
+        case 2:  // clocks drift apart
+          for (std::uint64_t k = uniform_below(rng, 5); k-- > 0;)
+            a.age_edges(retention);
+          break;
+        case 3:
+          a.reset(pool[uniform_below(rng, pool.size())]);
+          break;
+        default: {  // a protocol interaction
+          const auto sync = static_cast<std::uint32_t>(1 + uniform_below(rng, 3));
+          const auto timer = constant_timer
+                                 ? 6u
+                                 : static_cast<std::uint32_t>(
+                                       1 + uniform_below(rng, 8));
+          history_tree::graft_each_other(a, b, h - 1, sync, timer);
+          a.remove_named_subtrees(a.root_name());
+          b.remove_named_subtrees(b.root_name());
+          a.age_edges(retention);
+          b.age_edges(retention);
+        }
+      }
+    }
+  }
+  EXPECT_GT(detected, 300);
+  EXPECT_GT(clean, 300);
 }
 
 TEST(HistoryTree, ToStringRendersPaths) {

@@ -11,8 +11,9 @@
 // Timing assertions are deliberately generous (min-of-repetitions against a
 // 2x bound) so the test stays deterministic on loaded CI machines; the
 // per-interaction work here is an RNG draw plus a transition, both of which
-// dwarf a counter increment.  Detached and attached repetitions alternate,
-// so a load spike on the host slows both minima alike instead of one side.
+// dwarf a counter increment.  Detached and attached repetitions alternate
+// (timing_minima.hpp), so a load spike on the host slows both minima alike
+// instead of one side.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +27,7 @@
 #include "pp/engine.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
+#include "timing_minima.hpp"
 
 namespace ssr {
 namespace {
@@ -45,24 +47,7 @@ double seconds_for_run(obs::engine_counters* counters) {
       .count();
 }
 
-/// Best times of `run(nullptr)` (5 repetitions), `run(sink)` (5) and
-/// `run(nullptr)` again (3), taken in interleaved rounds.
-struct minima {
-  double detached = 1e9;
-  double attached = 1e9;
-  double detached_again = 1e9;
-};
-
-template <class Run, class Sink>
-minima interleaved_minima(Run run, Sink* sink) {
-  minima m;
-  for (int r = 0; r < 5; ++r) {
-    m.detached = std::min(m.detached, run(nullptr));
-    m.attached = std::min(m.attached, run(sink));
-    if (r < 3) m.detached_again = std::min(m.detached_again, run(nullptr));
-  }
-  return m;
-}
+using timing::interleaved_minima;
 
 TEST(ObsOverhead, DisabledCountersStayCheap) {
   // Warm-up: page in the code and let the clock settle.

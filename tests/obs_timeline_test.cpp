@@ -23,6 +23,7 @@
 #include "pp/engine.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
+#include "timing_minima.hpp"
 
 namespace ssr::obs {
 namespace {
@@ -194,7 +195,8 @@ TEST(ObsTimeline, DeriveHardwareMetricsFromUnitSections) {
 // obs_overhead_test.cpp): with no profiler attached the engine
 // instrumentation is one `if (profiler_)` branch per run() call -- not per
 // interaction -- so a detached run must stay within the same generous 2x
-// envelope of an attached one, and of itself across repetitions.
+// envelope of an attached one, and of itself across repetitions.  The
+// repetitions interleave (timing_minima.hpp).
 double seconds_for_run(timeline_profiler* profiler) {
   const std::uint32_t n = 256;
   optimal_silent_ssr p(n);
@@ -210,25 +212,17 @@ double seconds_for_run(timeline_profiler* profiler) {
       .count();
 }
 
-double min_of(int repetitions, timeline_profiler* profiler) {
-  double best = 1e9;
-  for (int r = 0; r < repetitions; ++r)
-    best = std::min(best, seconds_for_run(profiler));
-  return best;
-}
-
 TEST(ObsTimeline, DetachedProfilingStaysCheap) {
   seconds_for_run(nullptr);  // warm-up
 
-  const double detached = min_of(5, nullptr);
   timeline_profiler profiler;
-  const double attached = min_of(5, &profiler);
+  const auto [detached, attached, detached_again] =
+      timing::interleaved_minima(seconds_for_run, &profiler);
 
   ASSERT_GT(detached, 0.0);
   EXPECT_GT(profiler.profile().sections.at(0).units, 0u);
   EXPECT_LT(detached, attached * 2.0)
       << "detached=" << detached << "s attached=" << attached << "s";
-  const double detached_again = min_of(3, nullptr);
   EXPECT_LT(detached_again, detached * 2.0)
       << "measurement too noisy to interpret";
 }

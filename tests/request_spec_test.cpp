@@ -256,6 +256,23 @@ TEST(RequestSpec, SublinearPopulationIsCappedByNameWidth) {
   EXPECT_TRUE(at_cap.finalize().empty());
 }
 
+TEST(RequestSpec, TrialsAreCappedUpFront) {
+  spec_builder over;
+  over.set_trials(1099511627776);
+  EXPECT_EQ(over.finalize(),
+            (std::vector<spec_error>{
+                {"trials",
+                 "trial count must be at most 1000000, got 1099511627776"}}));
+  spec_builder text;
+  text.set_u64_text("trials", "1000001");
+  EXPECT_EQ(text.finalize(),
+            (std::vector<spec_error>{
+                {"trials", "trial count must be at most 1000000, got 1000001"}}));
+  spec_builder at_cap;
+  at_cap.set_trials(max_trials);
+  EXPECT_TRUE(at_cap.finalize().empty());
+}
+
 TEST(RequestSpec, UnknownNameMessageDropsFarSuggestions) {
   EXPECT_EQ(unknown_name_message("protocol", "zzzzzzzzzz", protocol_names()),
             "unknown protocol 'zzzzzzzzzz'");

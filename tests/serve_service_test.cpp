@@ -215,6 +215,25 @@ TEST(ServeService, OutOfRangeIntegersAreFieldErrors) {
             "sublinear population size must be at most 2097152, got 2097153");
 }
 
+// An oversize trial count is a field error, not an allocation the worker
+// dies of, and the service keeps answering.
+TEST(ServeService, OversizeTrialsAreFieldErrors) {
+  service svc(fast_options());
+  const obs::json_value response = svc.handle_line(
+      R"({"type":"run","protocol":"baseline","n":8,"trials":1099511627776})");
+  EXPECT_FALSE(response.find("ok")->as_bool());
+  const obs::json_value* errors = response.find("field_errors");
+  ASSERT_NE(errors, nullptr) << response.dump();
+  ASSERT_EQ(errors->size(), 1u);
+  EXPECT_EQ(errors->at(0).find("field")->as_string(), "trials");
+  EXPECT_EQ(errors->at(0).find("message")->as_string(),
+            "trial count must be at most 1000000, got 1099511627776");
+  const obs::json_value next = svc.handle_line(
+      R"({"type":"run","protocol":"baseline","n":8,"trials":2})");
+  ASSERT_TRUE(next.find("ok")->as_bool()) << next.dump();
+  EXPECT_EQ(next.find("result")->find("samples")->size(), 2u);
+}
+
 TEST(ServeService, PingPong) {
   service svc(fast_options());
   const obs::json_value response =
